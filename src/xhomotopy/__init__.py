@@ -45,8 +45,6 @@ from .folds import (
     is_quasi_cofibration,
     is_stiff,
     is_unfold,
-    relative_foldable_pairs,
-    restricted_foldable_pairs,
     stiff_reduction,
 )
 from .homotopy import (
@@ -87,10 +85,8 @@ from .weq import (
     WxVerdict,
     check_two_of_six,
     check_two_of_three,
-    composition_closure_check,
     in_W,
     in_W_times,
-    right_cancellation_check,
 )
 from .textio import Document, ParseError, parse_document, serialize_graph, serialize_map, to_dot
 

@@ -31,7 +31,7 @@ from .core import (
     graph_map,
     induced_subgraph,
 )
-from .folds import FoldSequence, is_quasi_cofibration, is_stiff, stiff_reduction
+from .folds import is_quasi_cofibration, is_stiff, stiff_reduction
 from .homotopy import (
     graphs_equivalent,
     is_equivalence,
@@ -119,19 +119,11 @@ class _Recorder:
         return VerificationReport(suite, ordered, _environment(budget, seed))
 
 
-def _graph_text(name: str, G: Graph) -> str:
-    return serialize_graph(name, G)
-
-
 def _expect(found: str, wanted: str):
     """Tri-state claim outcome from a membership verdict."""
     if found == "unknown":
         return "unknown"
     return found == wanted
-
-
-def _fold_json(seq: FoldSequence) -> dict:
-    return seq.to_json()
 
 
 def _iso_json(iso: GraphMap | None) -> dict | None:
@@ -201,12 +193,12 @@ def verify_figure1(budget: int | None = None, seed: int | None = None) -> Verifi
     rec = _Recorder()
     loc = "figure 1"
 
-    rec.claim("fig1.A-stiff", loc, ASSERTED, lambda: (is_stiff(fig.A), {"graph": _graph_text("A", fig.A)}))
+    rec.claim("fig1.A-stiff", loc, ASSERTED, lambda: (is_stiff(fig.A), {"graph": serialize_graph("A", fig.A)}))
 
     def folds_to_a():
         seq = stiff_reduction(fig.B, "given", steps=FIGURE1_FOLDS)
         iso = is_isomorphic(seq.result, fig.A)
-        return iso is not None, {"folds": _fold_json(seq), "isomorphism": _iso_json(iso)}
+        return iso is not None, {"folds": seq.to_json(), "isomorphism": _iso_json(iso)}
 
     rec.claim("fig1.B-folds-to-A", loc, ASSERTED, folds_to_a)
 
@@ -305,8 +297,8 @@ def verify_figure2(budget: int | None = None, seed: int | None = None) -> Verifi
     def equivalent():
         comparison = graphs_equivalent(fig.A, fig.B)
         return comparison.equivalent, {
-            "domainFolds": _fold_json(comparison.left_reduction),
-            "codomainFolds": _fold_json(comparison.right_reduction),
+            "domainFolds": comparison.left_reduction.to_json(),
+            "codomainFolds": comparison.right_reduction.to_json(),
             "stiffIso": _iso_json(comparison.stiff_iso),
         }
 
@@ -337,20 +329,20 @@ def verify_figure3(budget: int | None = None, seed: int | None = None) -> Verifi
     rec = _Recorder()
     loc = "figure 3"
 
-    rec.claim("fig3.A-stiff", loc, ASSERTED, lambda: (is_stiff(fig.A), {"graph": _graph_text("A", fig.A)}))
-    rec.claim("fig3.B-stiff", loc, ASSERTED, lambda: (is_stiff(fig.B), {"graph": _graph_text("B", fig.B)}))
+    rec.claim("fig3.A-stiff", loc, ASSERTED, lambda: (is_stiff(fig.A), {"graph": serialize_graph("A", fig.A)}))
+    rec.claim("fig3.B-stiff", loc, ASSERTED, lambda: (is_stiff(fig.B), {"graph": serialize_graph("B", fig.B)}))
 
     def c_folds():
         seq = stiff_reduction(fig.C, "given", steps=FIGURE3_C_FOLDS)
         iso = is_isomorphic(seq.result, fig.A)
-        return iso is not None, {"folds": _fold_json(seq), "isomorphism": _iso_json(iso)}
+        return iso is not None, {"folds": seq.to_json(), "isomorphism": _iso_json(iso)}
 
     rec.claim("fig3.C-folds-to-A", loc, ASSERTED, c_folds)
 
     def d_folds():
         seq = stiff_reduction(fig.D, "given", steps=FIGURE3_D_FOLDS)
         iso = is_isomorphic(seq.result, fig.B)
-        return iso is not None, {"folds": _fold_json(seq), "isomorphism": _iso_json(iso)}
+        return iso is not None, {"folds": seq.to_json(), "isomorphism": _iso_json(iso)}
 
     rec.claim("fig3.D-folds-to-B", loc, ASSERTED, d_folds)
 
@@ -428,8 +420,8 @@ def verify_prop32(budget: int | None = None, seed: int | None = None) -> Verific
             reports[case_name] = report
             return (not report.equivalent) and report.case == case_name, {
                 "report": report.to_json(),
-                "crafted": _graph_text("C", report.crafted),
-                "pushout": _graph_text("P", report.square.apex),
+                "crafted": serialize_graph("C", report.crafted),
+                "pushout": serialize_graph("P", report.square.apex),
             }
 
         rec.claim(f"prop32.{case_name}.not-equivalent", loc, ASSERTED, not_equivalent)

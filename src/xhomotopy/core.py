@@ -119,6 +119,23 @@ class Graph:
     def sorted_vertices(self) -> tuple[str, ...]:
         return tuple(sorted(self.vertices))
 
+    @cached_property
+    def _compiled(self) -> tuple[tuple[str, ...], dict[str, int], list[int], int]:
+        """Search form ``(labels, index, adj, loops)``: bit k stands for
+        ``sorted_vertices[k]``, ``adj[k]`` is the neighbour mask of vertex k
+        and ``loops`` the mask of looped vertices."""
+        labels = self.sorted_vertices
+        index = {v: k for k, v in enumerate(labels)}
+        adj = [0] * len(labels)
+        loops = 0
+        for u, v in self.edges:
+            i, j = index[u], index[v]
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+            if i == j:
+                loops |= 1 << i
+        return labels, index, adj, loops
+
     @property
     def order(self) -> int:
         return len(self.vertices)

@@ -208,24 +208,6 @@ def is_unfold(incl: GraphMap) -> bool:
     )
 
 
-def relative_foldable_pairs(B: Graph, protected: Iterable[str]) -> list[tuple[str, str]]:
-    """Foldable pairs whose removed vertex lies outside the protected set."""
-    keep = set(protected)
-    for v in keep:
-        if v not in B.vertex_set:
-            raise UnknownVertex(f"no vertex {v!r}")
-    return [(v, w) for v, w in foldable_pairs(B) if v not in keep]
-
-
-def restricted_foldable_pairs(B: Graph, protected: Iterable[str]) -> list[tuple[str, str]]:
-    """Foldable pairs that would remove a protected vertex."""
-    keep = set(protected)
-    for v in keep:
-        if v not in B.vertex_set:
-            raise UnknownVertex(f"no vertex {v!r}")
-    return [(v, w) for v, w in foldable_pairs(B) if v in keep]
-
-
 @dataclass(frozen=True)
 class StageReport:
     """Available folds at one intermediate state, classified."""

@@ -1,14 +1,22 @@
-"""Backtracking searches over small graphs: isomorphism, homs, embeddings.
+"""Exact searches over small graphs: isomorphism, homs, embeddings.
 
-All searches are deterministic.  Domain vertices are explored in order of
-decreasing degree (better pruning) but results are always returned sorted
-by their assignment in lexicographic label order, so the output does not
-depend on the search schedule.  Budgets count candidate prefix nodes.
+One iterative backtracker, ``_backtrack``, drives all three.  It runs on
+each graph's compiled form (``Graph._compiled``): bit k stands for the k-th
+sorted label and adjacency is an int mask, so the candidates at a depth are
+a base mask AND-ed with the neighbour masks of the images of already placed
+neighbours.  An explicit stack replaces recursion, so search depth is not
+bounded by the interpreter's recursion limit.
+
+All searches are deterministic.  Domain vertices are placed in an order
+chosen for pruning, candidates are tried in ascending bit (sorted label)
+order, and results are returned sorted by their assignment in
+lexicographic label order, so the output does not depend on the search
+schedule.  Budgets count candidate prefix nodes.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterator, Mapping, Sequence
 
 from .core import (
     MODE_INDUCED,
@@ -23,22 +31,90 @@ from .core import (
 DEFAULT_SEARCH_BUDGET = 10_000_000
 
 
-class _Budget:
-    __slots__ = ("limit", "used", "context")
-
-    def __init__(self, limit: int | None, context: str):
-        self.limit = DEFAULT_SEARCH_BUDGET if limit is None else limit
-        self.used = 0
-        self.context = context
-
-    def spend(self, n: int = 1) -> None:
-        self.used += n
-        if self.used > self.limit:
-            raise BudgetExceeded(self.limit, self.context)
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _search_order(G: Graph) -> list[str]:
-    return sorted(G.vertices, key=lambda v: (-G.degree(v), v))
+def _backtrack(
+    pattern: Graph,
+    target: Graph,
+    order: Sequence[int],
+    base: Sequence[int],
+    charge: Sequence[int],
+    budget: int | None,
+    context: str,
+    injective: bool = False,
+    induced: bool = False,
+) -> Iterator[tuple[int, ...]]:
+    """Edge-preserving assignments of pattern vertices to target vertices,
+    in depth-first order, each as image bit indices over the pattern's
+    sorted vertices.
+
+    ``order`` lists pattern vertex indices in placement order and
+    ``base[v]`` is the candidate mask of pattern vertex v.  A candidate must
+    be adjacent to the images of v's placed neighbours; ``injective`` also
+    excludes used images, and ``induced`` excludes images adjacent to the
+    image of a placed non-neighbour.  Entering depth i charges
+    ``charge[i]``; BudgetExceeded is raised once the total passes the budget.
+    """
+    limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
+    padj = pattern._compiled[2]
+    adj = target._compiled[2]
+    n = len(order)
+    back: list[list[int]] = []  # placed neighbours of the vertex at each depth
+    placed = 0
+    for v in order:
+        back.append(list(_bits(padj[v] & placed)))
+        placed |= 1 << v
+    img = [0] * n
+    rem = [0] * n  # untried candidates per depth
+    need = [0] * n  # images of placed neighbours per depth (induced check)
+    used = [0] * (n + 1)  # images placed above each depth
+    spent = 0
+    depth = 0
+    while True:
+        if depth == n:
+            yield tuple(img)
+            depth -= 1
+        else:
+            spent += charge[depth]
+            if spent > limit:
+                raise BudgetExceeded(limit, context)
+            mask = base[order[depth]]
+            if injective:
+                mask &= ~used[depth]
+            nbrs = 0
+            for u in back[depth]:
+                mask &= adj[img[u]]
+                nbrs |= 1 << img[u]
+            rem[depth] = mask
+            need[depth] = nbrs
+        # advance to the next candidate, backtracking over exhausted depths
+        while depth >= 0:
+            mask = rem[depth]
+            if not mask:
+                depth -= 1
+                continue
+            low = mask & -mask
+            rem[depth] = mask ^ low
+            w = low.bit_length() - 1
+            if induced and adj[w] & used[depth] != need[depth]:
+                continue
+            img[order[depth]] = w
+            used[depth + 1] = used[depth] | low
+            depth += 1
+            break
+        else:
+            return
+
+
+def _placement_order(G: Graph) -> list[int]:
+    """Vertex indices by decreasing degree, ties in label order."""
+    adj = G._compiled[2]
+    return sorted(range(len(adj)), key=lambda k: (-adj[k].bit_count(), k))
 
 
 def enumerate_hom_assignments(
@@ -56,48 +132,24 @@ def enumerate_hom_assignments(
     BudgetExceeded when the number of explored candidate prefixes passes
     the budget.
     """
-    meter = _Budget(budget, "hom enumeration")
-    order = _search_order(domain)
-    adjacency = codomain.adjacency
-    base: dict[str, list[str]] = {}
-    for a in order:
+    labels, index, _, loops = codomain._compiled
+    domain_loops = domain._compiled[3]
+    everything = (1 << len(labels)) - 1
+    base = []
+    for k, a in enumerate(domain.sorted_vertices):
+        mask = everything
         if candidates is not None and a in candidates:
-            allowed = sorted(set(candidates[a]) & codomain.vertex_set)  # type: ignore[arg-type]
-        else:
-            allowed = list(codomain.sorted_vertices)
-        if domain.is_looped(a):
-            allowed = [b for b in allowed if codomain.is_looped(b)]
-        base[a] = allowed
-    # neighbours already assigned when a vertex is reached, per search order
-    placed: list[list[str]] = []
-    seen: set[str] = set()
-    for a in order:
-        placed.append([u for u in sorted(domain.neighbors(a)) if u in seen])
-        seen.add(a)
-
-    results: list[tuple[str, ...]] = []
-    assign: dict[str, str] = {}
-    key_order = domain.sorted_vertices
-    spend = meter.spend
-
-    def extend(i: int) -> None:
-        if i == len(order):
-            results.append(tuple(assign[v] for v in key_order))
-            return
-        a = order[i]
-        constraints = placed[i]
-        for b in base[a]:
-            spend()
-            nb = adjacency[b]
-            if any(assign[u] not in nb for u in constraints):
-                continue
-            assign[a] = b
-            extend(i + 1)
-        assign.pop(a, None)
-
-    extend(0)
-    results.sort()
-    return results
+            mask = 0
+            for b in candidates[a]:  # type: ignore[attr-defined]
+                if b in index:
+                    mask |= 1 << index[b]
+        if domain_loops >> k & 1:
+            mask &= loops
+        base.append(mask)
+    order = _placement_order(domain)
+    charge = [base[v].bit_count() for v in order]
+    found = sorted(_backtrack(domain, codomain, order, base, charge, budget, "hom enumeration"))
+    return [tuple(labels[k] for k in key) for key in found]
 
 
 def assignment_to_map(domain: Graph, codomain: Graph, key: tuple[str, ...]) -> GraphMap:
@@ -133,47 +185,22 @@ def enumerate_copies(
     """
     if mode not in (MODE_SUBGRAPH, MODE_INDUCED):
         raise BadParameter(f"unknown embedding mode {mode!r}")
-    meter = _Budget(budget, "embedding enumeration")
-    order = _search_order(pattern)
-    results: list[dict[str, str]] = []
-    assign: dict[str, str] = {}
-    used: set[str] = set()
-
-    def compatible(p: str, w: str) -> bool:
-        p_loop = pattern.is_looped(p)
-        w_loop = host.is_looped(w)
-        if p_loop and not w_loop:
-            return False
-        if mode == MODE_INDUCED and not p_loop and w_loop:
-            return False
-        for q, x in assign.items():
-            p_edge = pattern.has_edge(p, q)
-            h_edge = host.has_edge(w, x)
-            if p_edge and not h_edge:
-                return False
-            if mode == MODE_INDUCED and not p_edge and h_edge:
-                return False
-        return True
-
-    def extend(i: int) -> None:
-        if i == len(order):
-            results.append(dict(assign))
-            return
-        p = order[i]
-        for w in host.sorted_vertices:
-            meter.spend()
-            if w in used or not compatible(p, w):
-                continue
-            assign[p] = w
-            used.add(w)
-            extend(i + 1)
-            del assign[p]
-            used.remove(w)
-
-    extend(0)
-    key_order = pattern.sorted_vertices
-    results.sort(key=lambda m: tuple(m[v] for v in key_order))
-    embeddings = [Embedding(pattern, host, tuple(m.items()), mode) for m in results]
+    induced = mode == MODE_INDUCED
+    labels, _, _, loops = host._compiled
+    pattern_loops = pattern._compiled[3]
+    unlooped = (1 << len(labels)) - 1
+    if induced:
+        unlooped &= ~loops
+    base = [loops if pattern_loops >> k & 1 else unlooped for k in range(pattern.order)]
+    order = _placement_order(pattern)
+    found = sorted(_backtrack(
+        pattern, host, order, base, [host.order] * len(order), budget,
+        "embedding enumeration", injective=True, induced=induced,
+    ))
+    embeddings = [
+        Embedding(pattern, host, tuple(zip(pattern.sorted_vertices, (labels[k] for k in key))), mode)
+        for key in found
+    ]
     if collapse:
         seen = set()
         kept = []
@@ -200,44 +227,22 @@ def is_isomorphic(G: Graph, H: Graph) -> GraphMap | None:
     """
     if G.order != H.order or len(G.edges) != len(H.edges):
         return None
-    inv_g = {v: _vertex_invariant(G, v) for v in G.vertices}
-    inv_h = {v: _vertex_invariant(H, v) for v in H.vertices}
-    if sorted(inv_g.values()) != sorted(inv_h.values()):
+    domain_labels = G.sorted_vertices
+    inv_g = [_vertex_invariant(G, v) for v in domain_labels]
+    inv_h = [_vertex_invariant(H, v) for v in H.sorted_vertices]
+    if sorted(inv_g) != sorted(inv_h):
         return None
-    classes: dict[tuple, list[str]] = {}
-    for v in H.sorted_vertices:
-        classes.setdefault(inv_h[v], []).append(v)
-    order = sorted(G.vertices, key=lambda v: (len(classes[inv_g[v]]), -G.degree(v), v))
-    assign: dict[str, str] = {}
-    used: set[str] = set()
-
-    def consistent(v: str, w: str) -> bool:
-        for u, x in assign.items():
-            if G.has_edge(v, u) != H.has_edge(w, x):
-                return False
-        return True
-
-    def extend(i: int) -> dict[str, str] | None:
-        if i == len(order):
-            return dict(assign)
-        v = order[i]
-        for w in classes[inv_g[v]]:
-            if w in used or not consistent(v, w):
-                continue
-            assign[v] = w
-            used.add(w)
-            found = extend(i + 1)
-            if found is not None:
-                return found
-            del assign[v]
-            used.remove(w)
-        return None
-
-    witness = extend(0)
+    classes: dict[tuple, int] = {}
+    for k, inv in enumerate(inv_h):
+        classes[inv] = classes.get(inv, 0) | 1 << k
+    base = [classes[inv] for inv in inv_g]
+    order = sorted(range(G.order), key=lambda k: (base[k].bit_count(), -G.degree(domain_labels[k]), k))
+    # classes fix loop flags; induced + injective + equal order then make
+    # the first full assignment an isomorphism
+    witness = next(_backtrack(
+        G, H, order, base, [0] * G.order, None, "isomorphism search", injective=True, induced=True
+    ), None)
     if witness is None:
         return None
-    forward = GraphMap(G, H, tuple(witness.items()))
-    # equal edge counts + injectivity force the inverse to be a map too;
-    # constructing it revalidates that
-    GraphMap(H, G, tuple((w, v) for v, w in witness.items()))
-    return forward
+    labels = H._compiled[0]
+    return GraphMap(G, H, tuple(zip(domain_labels, (labels[k] for k in witness))))

@@ -276,43 +276,3 @@ def check_two_of_six(
         _implication("gf,hg=>f,g,h,hgf", members, ("gf", "hg"), ("f", "g", "h", "hgf")),
     )
     return ChainReport(predicate, members, checks)
-
-
-def composition_closure_check(
-    f: GraphMap,
-    g: GraphMap,
-    predicate: str = "in_w",
-    budget: int | None = None,
-    semantics: WSemantics = DEFAULT_SEMANTICS,
-) -> ChainReport:
-    """Instance check that membership is closed under composition."""
-    if f.codomain != g.domain:
-        raise SignatureMismatch("maps are not composable")
-    gf = compose(g, f)
-    members = {
-        "f": _membership(predicate, f, budget, semantics),
-        "g": _membership(predicate, g, budget, semantics),
-        "gf": _membership(predicate, gf, budget, semantics),
-    }
-    checks = (_implication("f,g=>gf", members, ("f", "g"), ("gf",)),)
-    return ChainReport(predicate, members, checks)
-
-
-def right_cancellation_check(
-    f: GraphMap,
-    g: GraphMap,
-    predicate: str = "in_w",
-    budget: int | None = None,
-    semantics: WSemantics = DEFAULT_SEMANTICS,
-) -> ChainReport:
-    """Instance check: g and gf in the class force f into the class."""
-    if f.codomain != g.domain:
-        raise SignatureMismatch("maps are not composable")
-    gf = compose(g, f)
-    members = {
-        "f": _membership(predicate, f, budget, semantics),
-        "g": _membership(predicate, g, budget, semantics),
-        "gf": _membership(predicate, gf, budget, semantics),
-    }
-    checks = (_implication("g,gf=>f", members, ("g", "gf"), ("f",)),)
-    return ChainReport(predicate, members, checks)

@@ -14,6 +14,7 @@ from xhomotopy import (
 )
 from xhomotopy.claims import build_figure1, build_figure2, build_figure3, natural_two_coloring
 from xhomotopy.constructions import mapping_cylinder
+from xhomotopy.core import EMPTY_GRAPH
 from xhomotopy.folds import (
     FoldSequence,
     InvalidSequence,
@@ -25,8 +26,6 @@ from xhomotopy.folds import (
     is_quasi_cofibration,
     is_stiff,
     is_unfold,
-    relative_foldable_pairs,
-    restricted_foldable_pairs,
     stiff_reduction,
 )
 from xhomotopy.search import is_isomorphic
@@ -195,22 +194,26 @@ class TestIsUnfold:
 class TestRelativeFolds:
     def test_whole_vertex_set_blocks_everything(self):
         fig = build_figure3()
-        assert relative_foldable_pairs(fig.D, fig.D.vertices) == []
-        assert restricted_foldable_pairs(fig.D, fig.D.vertices) == foldable_pairs(fig.D)
+        trace = is_quasi_cofibration(identity_map(fig.D))
+        assert not trace.verdict
+        (stage,) = trace.stuck
+        assert stage.survivors == tuple(sorted(fig.D.vertices))
+        assert stage.relative == ()
+        assert stage.restricted == tuple(foldable_pairs(fig.D))
 
     def test_empty_protected_set_blocks_nothing(self):
         fig = build_figure3()
-        assert relative_foldable_pairs(fig.D, []) == foldable_pairs(fig.D)
-        assert restricted_foldable_pairs(fig.D, []) == []
+        trace = is_quasi_cofibration(GraphMap(EMPTY_GRAPH, fig.D, ()))
+        assert trace.verdict
+        assert trace.stages[0].relative == tuple(foldable_pairs(fig.D))
+        assert trace.stages[0].restricted == ()
 
     def test_cylinder_partition_of_the_two_coloring(self):
         cyl = mapping_cylinder(natural_two_coloring())
-        image = sorted(cyl.incl.image_vertices)
-        relative = relative_foldable_pairs(cyl.cylinder, image)
-        restricted = restricted_foldable_pairs(cyl.cylinder, image)
-        assert relative == []
-        assert len(restricted) == 6
-        assert set(relative) | set(restricted) == set(foldable_pairs(cyl.cylinder))
+        (stage,) = is_quasi_cofibration(cyl.incl).stuck
+        assert stage.relative == ()
+        assert len(stage.restricted) == 6
+        assert set(stage.restricted) == set(foldable_pairs(cyl.cylinder))
 
 
 class TestQuasiCofibration:

@@ -17,7 +17,12 @@ from xhomotopy.claims import build_figure1, build_figure2, build_figure3
 from xhomotopy.constructions import complete, cycle
 from xhomotopy.folds import stiff_reduction
 from xhomotopy.generators import random_graph
-from xhomotopy.search import enumerate_copies, enumerate_homs, is_isomorphic
+from xhomotopy.search import (
+    enumerate_copies,
+    enumerate_hom_assignments,
+    enumerate_homs,
+    is_isomorphic,
+)
 
 
 def naive_hom_count(domain, codomain):
@@ -31,6 +36,27 @@ def naive_hom_count(domain, codomain):
         if is_graph_map(domain, codomain, assignment):
             count += 1
     return count
+
+
+def naive_copy_count(pattern, host, mode):
+    """Independent oracle: filter all injective vertex functions."""
+    verts = list(pattern.vertices)
+    count = 0
+    for images in itertools.permutations(host.vertices, len(verts)):
+        img = dict(zip(verts, images))
+        if all(
+            pattern.has_edge(u, v) <= host.has_edge(img[u], img[v])
+            and (mode == "subgraph" or pattern.has_edge(u, v) == host.has_edge(img[u], img[v]))
+            for u in verts
+            for v in verts
+        ):
+            count += 1
+    return count
+
+
+def long_path(n):
+    labels = [f"p{i:04d}" for i in range(n)]
+    return make_graph(labels, zip(labels, labels[1:]))
 
 
 class TestEnumerateHoms:
@@ -57,6 +83,15 @@ class TestEnumerateHoms:
         with pytest.raises(BudgetExceeded) as err:
             enumerate_homs(complete(3), complete(3), budget=2)
         assert err.value.limit == 2
+
+    def test_budget_charges_every_scanned_candidate(self):
+        # 3 candidates at the root, 3 at each of 3 children, 3 at each of 6 grandchildren
+        assert len(enumerate_homs(complete(3), complete(3), budget=30)) == 6
+        with pytest.raises(BudgetExceeded):
+            enumerate_homs(complete(3), complete(3), budget=29)
+
+    def test_long_path_has_exactly_two_two_colorings(self):
+        assert len(enumerate_hom_assignments(long_path(1500), complete(2))) == 2
 
     @given(seeded_graphs(max_vertices=4), seeded_graphs(max_vertices=4))
     @settings(max_examples=25)
@@ -102,6 +137,17 @@ class TestEnumerateCopies:
         collapsed = enumerate_copies(tri, tri, "subgraph", collapse=True)
         assert len(all_copies) == 6 and len(collapsed) == 1
 
+    def test_budget_charges_the_whole_host_per_node(self):
+        assert len(enumerate_copies(complete(3), complete(3), budget=30)) == 6
+        with pytest.raises(BudgetExceeded):
+            enumerate_copies(complete(3), complete(3), budget=29)
+
+    @given(seeded_graphs(max_vertices=3), seeded_graphs(max_vertices=5))
+    @settings(max_examples=40)
+    def test_counts_match_naive_filter(self, pattern, host):
+        for mode in ("subgraph", "induced"):
+            assert len(enumerate_copies(pattern, host, mode)) == naive_copy_count(pattern, host, mode)
+
 
 class TestIsIsomorphic:
     def test_reduction_of_figure3_host(self):
@@ -138,6 +184,27 @@ class TestIsIsomorphic:
         left = product(g, h)
         right = product(h, g)
         assert is_isomorphic(left, right) is not None
+
+    def test_long_path_relabelled(self):
+        path = long_path(1500)
+        reversed_labels = {v: f"q{1499 - i:04d}" for i, v in enumerate(path.vertices)}
+        iso = is_isomorphic(path, relabel(path, reversed_labels))
+        assert iso is not None
+
+    @given(st.integers(0, 6), st.integers(0, 10**9), st.integers(0, 10**9))
+    @settings(max_examples=80)
+    def test_verdict_matches_networkx(self, n, seed_g, seed_h):
+        nx = pytest.importorskip("networkx")
+        g = random_graph(random.Random(seed_g), n)
+        h = random_graph(random.Random(seed_h), n)
+
+        def to_nx(G):
+            out = nx.Graph()
+            out.add_nodes_from(G.vertices)
+            out.add_edges_from(G.edges)  # a loop becomes a self-edge
+            return out
+
+        assert (is_isomorphic(g, h) is not None) == nx.is_isomorphic(to_nx(g), to_nx(h))
 
 
 def test_deterministic_witness_across_runs():

@@ -14,10 +14,8 @@ from xhomotopy.weq import (
     WSemantics,
     check_two_of_six,
     check_two_of_three,
-    composition_closure_check,
     in_W,
     in_W_times,
-    right_cancellation_check,
 )
 
 
@@ -152,33 +150,38 @@ class TestTwoOfSix:
         assert report.checks[0].status == "pass"
 
 
+def check_named(report, name):
+    (check,) = [c for c in report.checks if c.name == name]
+    return check
+
+
 class TestClosureChecks:
     def test_two_folds_compose_in_relaxed_class(self):
         fig = build_figure3()
         g1, m1 = apply_fold(fig.C, "3", "4")
         _, m2 = apply_fold(g1, "4", "1")
-        report = composition_closure_check(m1, m2, "in_w")
-        assert report.checks[0].status == "pass"
+        report = check_two_of_three(m1, m2, "in_w")
+        assert check_named(report, "f,g=>gf").status == "pass"
 
     def test_fold_then_unfold(self):
         base = make_graph("abcd", ["ab", "bc", "cd", "ad"])
         smaller, fold = apply_fold(base, "c", "a")  # N(c)={b,d} = N(a)
         unfold = GraphMap(smaller, base, tuple((v, v) for v in smaller.vertices))
-        report = composition_closure_check(fold, unfold, "in_w")
-        assert report.checks[0].status == "pass"
+        report = check_two_of_three(fold, unfold, "in_w")
+        assert check_named(report, "f,g=>gf").status == "pass"
 
     def test_right_cancellation_vacuous_on_figure3(self):
         fig = build_figure3()
-        report = right_cancellation_check(fig.f, fig.g, "in_w")
+        report = check_two_of_three(fig.f, fig.g, "in_w")
         assert report.memberships["g"] == OUT
-        assert report.checks[0].status == "vacuous"
+        assert check_named(report, "g,gf=>f").status == "vacuous"
 
     def test_right_cancellation_with_identity(self):
         fig = build_figure3()
-        report = right_cancellation_check(fig.f, identity_map(fig.B), "in_w")
-        assert report.checks[0].status == "vacuous"  # f itself is out
-        report2 = right_cancellation_check(identity_map(fig.B), identity_map(fig.B), "in_w")
-        assert report2.checks[0].status == "pass"
+        report = check_two_of_three(fig.f, identity_map(fig.B), "in_w")
+        assert check_named(report, "g,gf=>f").status == "vacuous"  # f itself is out
+        report2 = check_two_of_three(identity_map(fig.B), identity_map(fig.B), "in_w")
+        assert check_named(report2, "g,gf=>f").status == "pass"
 
 
 def test_strict_class_members_are_relaxed_class_members():
