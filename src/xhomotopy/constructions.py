@@ -11,6 +11,7 @@ from typing import Iterable
 
 from .core import (
     BadParameter,
+    BudgetExceeded,
     Graph,
     GraphError,
     GraphMap,
@@ -224,17 +225,18 @@ class Factorization:
 
 
 def factorize(f: GraphMap, budget: int | None = None) -> Factorization:
-    """Split any map into an induced inclusion followed by an equivalence."""
+    """Split any map into an induced inclusion followed by an equivalence.
+
+    Raises NotAnEquivalence when the inverse search proves the retract is none."""
     cyl = mapping_cylinder(f)
     try:
         cert = is_equivalence(cyl.retract, budget=budget)
-        if cert is not None:
-            return Factorization(cyl.incl, cyl.retract, cyl.cylinder, CERTIFIED_BY_HOMOTOPY, cert)
-        level = CERTIFIED_BY_STIFF  # retract of a cylinder is always one; fall through
-    except GraphError:
-        level = CERTIFIED_BY_STIFF
-    comparison = graphs_equivalent(cyl.cylinder, f.codomain)
-    return Factorization(cyl.incl, cyl.retract, cyl.cylinder, level, comparison)
+    except BudgetExceeded:
+        comparison = graphs_equivalent(cyl.cylinder, f.codomain)
+        return Factorization(cyl.incl, cyl.retract, cyl.cylinder, CERTIFIED_BY_STIFF, comparison)
+    if cert is None:
+        raise NotAnEquivalence("the retract of the mapping cylinder is not a homotopy equivalence")
+    return Factorization(cyl.incl, cyl.retract, cyl.cylinder, CERTIFIED_BY_HOMOTOPY, cert)
 
 
 def cycle(n: int) -> Graph:

@@ -3,13 +3,22 @@
 A vertex v folds to v' when N(v) is contained in N(v').  Removing v and
 sending it to v' is a graph map, and repeating until no fold remains
 reduces a graph to a stiff subgraph, unique up to isomorphism.
+
+Every intermediate graph is the induced subgraph on the vertices not yet
+removed, so the fold kernel works on the compiled graph (``Graph._compiled``)
+and represents an intermediate graph by its survivor mask ``alive``: v'
+is a fold target of v exactly when v' is adjacent to every surviving
+neighbour of v, an AND of neighbour masks.  Labelled graphs and maps are
+built only for results.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     Graph,
@@ -17,6 +26,7 @@ from .core import (
     GraphMap,
     UnknownVertex,
     BadParameter,
+    _bits,
     induced_subgraph,
 )
 from .search import is_isomorphic
@@ -47,40 +57,55 @@ class FoldStep:
     target: str
 
 
+def _fold_pairs(adj: list[int], alive: int, movers: int = -1) -> Iterator[tuple[int, int]]:
+    """Foldable index pairs (v, v') of the induced subgraph on ``alive``,
+    in sorted-label order; only vertices in ``movers`` are removed."""
+    for v in _bits(alive & movers):
+        targets = alive & ~(1 << v)
+        for u in _bits(adj[v] & alive):
+            targets &= adj[u]
+        for w in _bits(targets):
+            yield v, w
+
+
+def _check_fold(G: Graph, alive: int, removed: str, target: str) -> int:
+    """Index of ``removed`` once (removed, target) is checked to be a fold
+    of the induced subgraph on ``alive``; the NotAFold witness is the least
+    neighbour of ``removed`` that ``target`` misses."""
+    labels, index, adj, _ = G._compiled
+    for label in (removed, target):
+        if not alive >> index.get(label, G.order) & 1:
+            raise UnknownVertex(f"no vertex {label!r}")
+    v, w = index[removed], index[target]
+    if v == w:
+        raise NotAFold("a vertex cannot fold to itself")
+    missing = adj[v] & alive & ~adj[w]
+    if missing:
+        witness = labels[next(_bits(missing))]
+        raise NotAFold(
+            f"{removed!r} does not fold to {target!r}: neighbour {witness!r} is not shared",
+            witness=witness,
+        )
+    return v
+
+
+def _everything(G: Graph) -> int:
+    return (1 << G.order) - 1
+
+
 def foldable_pairs(G: Graph) -> list[tuple[str, str]]:
     """All ordered pairs (v, v') of distinct vertices with N(v) <= N(v')."""
-    pairs = []
-    for v in G.sorted_vertices:
-        nv = G.neighbors(v)
-        for w in G.sorted_vertices:
-            if w != v and nv <= G.neighbors(w):
-                pairs.append((v, w))
-    return pairs
+    labels, _, adj, _ = G._compiled
+    return [(labels[v], labels[w]) for v, w in _fold_pairs(adj, _everything(G))]
 
 
 def is_stiff(G: Graph) -> bool:
-    for v in G.vertices:
-        nv = G.neighbors(v)
-        for w in G.vertices:
-            if w != v and nv <= G.neighbors(w):
-                return False
-    return True
+    return next(_fold_pairs(G._compiled[2], _everything(G)), None) is None
 
 
 def apply_fold(G: Graph, removed: str, target: str) -> tuple[Graph, GraphMap]:
     """Remove a foldable vertex; returns (G - v, fold map G -> G - v)."""
-    if removed not in G.vertex_set:
-        raise UnknownVertex(f"no vertex {removed!r}")
-    if target not in G.vertex_set:
-        raise UnknownVertex(f"no vertex {target!r}")
-    if removed == target:
-        raise NotAFold("a vertex cannot fold to itself")
-    missing = sorted(G.neighbors(removed) - G.neighbors(target))
-    if missing:
-        raise NotAFold(
-            f"{removed!r} does not fold to {target!r}: neighbour {missing[0]!r} is not shared",
-            witness=missing[0],
-        )
+    _check_fold(G, _everything(G), removed, target)
     smaller = induced_subgraph(G, [v for v in G.vertices if v != removed])
     fold_map = GraphMap(
         G, smaller, tuple((v, target if v == removed else v) for v in G.vertices)
@@ -99,22 +124,25 @@ class FoldSequence:
 
     @classmethod
     def replay(cls, start: Graph, steps: Iterable[FoldStep | tuple[str, str]]) -> "FoldSequence":
-        """Validate each step in its intermediate graph and build the composite."""
-        current = start
+        """Validate each step against the survivors of the steps before it,
+        then build the result and the composite once."""
+        alive = _everything(start)
         done: list[FoldStep] = []
-        trace: dict[str, str] = {v: v for v in start.vertices}
         for raw in steps:
             step = raw if isinstance(raw, FoldStep) else FoldStep(*raw)
             try:
-                current, fold_map = apply_fold(current, step.removed, step.target)
+                alive &= ~(1 << _check_fold(start, alive, step.removed, step.target))
             except GraphError as exc:
                 raise InvalidSequence(
                     f"step {len(done)} ({step.removed}->{step.target}) is not a legal fold: {exc}"
                 ) from exc
-            trace = {v: fold_map(w) for v, w in trace.items()}
             done.append(step)
-        composite = GraphMap(start, current, tuple(trace.items()))
-        return cls(start, tuple(done), current, composite)
+        labels = start._compiled[0]
+        image = {labels[k]: labels[k] for k in _bits(alive)}
+        result = induced_subgraph(start, image)
+        for step in reversed(done):
+            image[step.removed] = image[step.target]
+        return cls(start, tuple(done), result, GraphMap(start, result, tuple(image.items())))
 
     def to_json(self) -> dict:
         return {
@@ -146,15 +174,13 @@ def stiff_reduction(
     if policy not in ("first", "random"):
         raise BadParameter(f"unknown fold policy {policy!r}")
     rng = random.Random(seed) if policy == "random" else None
+    labels, _, adj, _ = G._compiled
+    alive = _everything(G)
     chosen: list[FoldStep] = []
-    current = G
-    while True:
-        pairs = foldable_pairs(current)
-        if not pairs:
-            break
-        removed, target = pairs[0] if rng is None else rng.choice(pairs)
-        chosen.append(FoldStep(removed, target))
-        current, _ = apply_fold(current, removed, target)
+    while pairs := list(islice(_fold_pairs(adj, alive), 1 if rng is None else None)):
+        v, w = pairs[0] if rng is None else rng.choice(pairs)
+        chosen.append(FoldStep(labels[v], labels[w]))
+        alive &= ~(1 << v)
     return FoldSequence.replay(G, chosen)
 
 
@@ -194,18 +220,11 @@ def is_unfold(incl: GraphMap) -> bool:
     """True when incl is, up to relabelling, the inclusion G - v into G
     for some fold (v, v'): one extra vertex, induced, and the extra vertex
     folds to a surviving one."""
-    if not incl.is_injective():
-        return False
     extra = sorted(incl.codomain.vertex_set - incl.image_vertices)
-    if len(extra) != 1:
+    if len(extra) != 1 or not incl.is_induced_inclusion():
         return False
-    if not incl.is_induced_inclusion():
-        return False
-    v = extra[0]
-    nv = incl.codomain.neighbors(v)
-    return any(
-        nv <= incl.codomain.neighbors(w) for w in incl.codomain.vertices if w != v
-    )
+    _, index, adj, _ = incl.codomain._compiled
+    return next(_fold_pairs(adj, _everything(incl.codomain), 1 << index[extra[0]]), None) is not None
 
 
 @dataclass(frozen=True)
@@ -253,12 +272,12 @@ class QuasiCofibrationTrace:
         }
 
 
-def _stage(B: Graph, survivors: frozenset[str], protected: set[str]) -> tuple[Graph, StageReport]:
-    sub = induced_subgraph(B, [v for v in B.vertices if v in survivors])
-    pairs = foldable_pairs(sub)
-    relative = tuple(p for p in pairs if p[0] not in protected)
-    restricted = tuple(p for p in pairs if p[0] in protected)
-    return sub, StageReport(tuple(sorted(survivors)), relative, restricted)
+def _stage(B: Graph, alive: int, protected: int) -> StageReport:
+    labels, _, adj, _ = B._compiled
+    relative, restricted = [], []
+    for v, w in _fold_pairs(adj, alive):
+        (restricted if protected >> v & 1 else relative).append((labels[v], labels[w]))
+    return StageReport(tuple(labels[k] for k in _bits(alive)), tuple(relative), tuple(restricted))
 
 
 def is_quasi_cofibration(incl: GraphMap) -> QuasiCofibrationTrace:
@@ -266,7 +285,7 @@ def is_quasi_cofibration(incl: GraphMap) -> QuasiCofibrationTrace:
 
     The induced inclusion's image is protected: only folds removing other
     vertices may fire.  Because an intermediate graph is the induced
-    subgraph on its survivors, states are memoized by survivor set.  On
+    subgraph on its survivors, states are memoized by survivor mask.  On
     failure the trace lists the stuck states, where only restricted folds
     remain; on success it lists one witnessing sequence with the per-stage
     fold classification for audit.
@@ -274,15 +293,17 @@ def is_quasi_cofibration(incl: GraphMap) -> QuasiCofibrationTrace:
     if not incl.is_induced_inclusion():
         raise NotInducedInclusion("quasi-cofibration checking needs an induced inclusion")
     B = incl.codomain
-    protected = set(incl.image_vertices)
-    start = frozenset(B.vertex_set)
-    parents: dict[frozenset[str], tuple[frozenset[str], FoldStep] | None] = {start: None}
-    queue: list[frozenset[str]] = [start]
+    index = B._compiled[1]
+    protected = sum(1 << index[v] for v in incl.image_vertices)
+    start = _everything(B)
+    parents: dict[int, tuple[int, FoldStep] | None] = {start: None}
+    reports: dict[int, StageReport] = {}
+    queue = deque([start])
     stuck: list[StageReport] = []
-    goal: frozenset[str] | None = None
+    goal: int | None = None
     while queue:
-        state = queue.pop(0)
-        sub, report = _stage(B, state, protected)
+        state = queue.popleft()
+        report = reports[state] = _stage(B, state, protected)
         if not report.relative and not report.restricted:
             goal = state
             break
@@ -290,27 +311,19 @@ def is_quasi_cofibration(incl: GraphMap) -> QuasiCofibrationTrace:
             stuck.append(report)
             continue
         for removed, target in report.relative:
-            nxt = state - {removed}
+            nxt = state & ~(1 << index[removed])
             if nxt not in parents:
                 parents[nxt] = (state, FoldStep(removed, target))
                 queue.append(nxt)
     if goal is None:
         return QuasiCofibrationTrace(False, RECONSTRUCTED_SEMANTICS, None, (), tuple(stuck))
     steps: list[FoldStep] = []
+    stages = [reports[goal]]
     state = goal
     while parents[state] is not None:
-        prev, step = parents[state]  # type: ignore[misc]
+        state, step = parents[state]  # type: ignore[misc]
         steps.append(step)
-        state = prev
-    steps.reverse()
-    stages = []
-    state = start
-    for step in steps:
-        _, report = _stage(B, state, protected)
-        stages.append(report)
-        state = state - {step.removed}
-    _, final_report = _stage(B, state, protected)
-    stages.append(final_report)
+        stages.append(reports[state])
     return QuasiCofibrationTrace(
-        True, RECONSTRUCTED_SEMANTICS, tuple(steps), tuple(stages), ()
+        True, RECONSTRUCTED_SEMANTICS, tuple(reversed(steps)), tuple(reversed(stages)), ()
     )

@@ -14,6 +14,7 @@ order.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .core import (
@@ -21,6 +22,7 @@ from .core import (
     Graph,
     GraphMap,
     SignatureMismatch,
+    _bits,
     compose,
     find_map_violation,
     identity_map,
@@ -127,30 +129,23 @@ def verify_homotopy(cert: HomotopyCertificate) -> HomotopyCheck:
 
 
 def _step_candidates(A: Graph, B: Graph, key: Key) -> dict[str, tuple[str, ...]]:
-    """Per-vertex images allowed for a one-step successor of the map ``key``."""
-    position = {v: i for i, v in enumerate(A.sorted_vertices)}
+    """Per-vertex images allowed for a one-step successor of the map ``key``:
+    the AND of the neighbour masks of the images of a's neighbours."""
+    labels, index, adj, _ = B._compiled
+    images = [adj[index[b]] for b in key]
     out: dict[str, tuple[str, ...]] = {}
-    for a in A.vertices:
-        nbrs = A.neighbors(a)
-        if not nbrs:
-            out[a] = B.sorted_vertices
-            continue
-        allowed: frozenset[str] | None = None
-        for u in nbrs:
-            cand = B.neighbors(key[position[u]])
-            allowed = cand if allowed is None else allowed & cand
-            if not allowed:
-                break
-        out[a] = tuple(sorted(allowed or ()))
+    for a, nbrs in zip(A.sorted_vertices, A._compiled[2]):
+        allowed = (1 << len(labels)) - 1
+        for u in _bits(nbrs):
+            allowed &= images[u]
+        out[a] = tuple(labels[k] for k in _bits(allowed))
     return out
 
 
 def one_step_neighbors(h: GraphMap, budget: int | None = None) -> list[GraphMap]:
     """All maps one-step homotopic to h, in canonical order (h included)."""
-    key = tuple(h(v) for v in h.domain.sorted_vertices)
-    return enumerate_homs(
-        h.domain, h.codomain, budget=budget, candidates=_step_candidates(h.domain, h.codomain, key)
-    )
+    candidates = _step_candidates(h.domain, h.codomain, _map_key(h))
+    return enumerate_homs(h.domain, h.codomain, budget=budget, candidates=candidates)
 
 
 class _StepSearch:
@@ -168,7 +163,7 @@ class _StepSearch:
         self.B = B
         self.limit = DEFAULT_HOM_BUDGET if budget is None else budget
         self.parents: dict[Key, Key | None] = {}
-        self.queue: list[Key] = []
+        self.queue: deque[Key] = deque()
         self.visited = 0
 
     def seed(self, start: Key) -> None:
@@ -185,7 +180,7 @@ class _StepSearch:
         if goal is not None and goal in self.parents:
             return True
         while self.queue:
-            key = self.queue.pop(0)
+            key = self.queue.popleft()
             candidates = _step_candidates(self.A, self.B, key)
             for nkey in enumerate_hom_assignments(
                 self.A, self.B, budget=self.limit, candidates=candidates
@@ -203,9 +198,6 @@ class _StepSearch:
         self.visited += 1
         if self.visited > self.limit:
             raise BudgetExceeded(self.limit, "homotopy search")
-
-    def __contains__(self, key: Key) -> bool:
-        return key in self.parents
 
     def chain_from_start(self, key: Key) -> list[GraphMap]:
         """Maps along the parent links, ordered start ... key."""

@@ -26,16 +26,10 @@ from .core import (
     Embedding,
     Graph,
     GraphMap,
+    _bits,
 )
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _backtrack(

@@ -172,9 +172,9 @@ def in_W(
 
 
 def _membership(predicate: str, m: GraphMap, budget: int | None, semantics: WSemantics) -> str:
-    if predicate in ("wx", "in_w_times", "in_W_times"):
+    if predicate in ("wx", "in_w_times"):
         return in_W_times(m, budget=budget).verdict
-    if predicate in ("w", "in_w", "in_W"):
+    if predicate in ("w", "in_w"):
         return in_W(m, semantics=semantics, budget=budget).verdict
     raise SignatureMismatch(f"unknown membership predicate {predicate!r}")
 

@@ -260,6 +260,18 @@ class TestFactorize:
         assert factored.incl.domain == empty
         assert graphs_equivalent(factored.cylinder, k2).equivalent
 
+    def test_definitive_negative_on_the_retract_raises(self, monkeypatch):
+        import xhomotopy.constructions as constructions
+
+        monkeypatch.setattr(constructions, "is_equivalence", lambda f, budget=None: None)
+        with pytest.raises(NotAnEquivalence):
+            factorize(natural_two_coloring())
+
+    def test_blown_budget_falls_back_to_the_stiff_criterion(self):
+        factored = factorize(natural_two_coloring(), budget=1)
+        assert factored.certification == "stiff-criterion"
+        assert factored.certificate.equivalent
+
 
 class TestNamedGraphs:
     def test_six_cycle(self):

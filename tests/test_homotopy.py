@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import given, settings
 
 from conftest import seeded_graphs
 from xhomotopy import (
+    GraphError,
     SignatureMismatch,
     compose,
     graph_map,
@@ -15,7 +18,7 @@ from xhomotopy import (
 from xhomotopy.claims import build_figure1, build_figure2, build_figure3, figure2_fold_comparator
 from xhomotopy.constructions import complete, cycle
 from xhomotopy.folds import apply_fold, foldable_pairs
-from xhomotopy.generators import random_graph
+from xhomotopy.generators import random_equivalence, random_graph
 from xhomotopy.homotopy import (
     HomotopyCertificate,
     are_homotopic,
@@ -23,6 +26,7 @@ from xhomotopy.homotopy import (
     homotopy_classes,
     is_equivalence,
     one_step_homotopic,
+    one_step_neighbors,
     verify_homotopy,
 )
 from xhomotopy.search import enumerate_homs
@@ -309,3 +313,54 @@ def _exists_equivalence(a, b):
             if class_of_a[gf] == id_a and class_of_b[fg] == id_b:
                 return True
     return False
+
+
+# SHA-256 of homotopy_dump(range(120)), recorded on the label-set step candidates
+HOMOTOPY_DIGEST = "f3c16b36e91789cd60228e838f03c28418e50163611e729c1b70932692f7d99b"
+
+
+def _attempt(fn):
+    try:
+        return ["ok", fn()]
+    except GraphError as exc:
+        return ["error", type(exc).__name__, str(exc)]
+
+
+def _chain(cert):
+    return None if cert is None else cert.to_json()
+
+
+def _equivalence(cert):
+    if cert is None:
+        return None
+    return [list(cert.inverse.assignment), _chain(cert.hom_to_identity_domain), _chain(cert.hom_to_identity_codomain)]
+
+
+def _homotopy_case(i):
+    rng = random.Random(10_000 + i)
+    a = random_graph(rng, rng.randint(0, 3), prefix="a")
+    b = random_graph(rng, rng.randint(1, 4), prefix="b")
+    homs = enumerate_homs(a, b)
+    picks = [rng.choice(homs) for _ in range(2)] if homs else []
+    equiv = random_equivalence(rng, random_graph(rng, rng.randint(1, 3)), 2, "w")
+    out = []
+    for budget in (None, 5, 50):
+        out.append(_attempt(lambda: [[list(m.assignment) for m in cls] for cls in homotopy_classes(a, b, budget)]))
+        out.append(_attempt(lambda: _equivalence(is_equivalence(equiv, budget))))
+        if picks:
+            f, g = picks
+            out.append(_attempt(lambda: _chain(are_homotopic(f, g, budget))))
+            out.append(_attempt(lambda: [list(m.assignment) for m in one_step_neighbors(f, budget)]))
+            out.append(_attempt(lambda: _equivalence(is_equivalence(f, budget))))
+    return out
+
+
+def homotopy_dump(seeds):
+    digest = hashlib.sha256()
+    for i in seeds:
+        digest.update(json.dumps(_homotopy_case(i), sort_keys=True).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_homotopy_outputs_match_recorded_digest():
+    assert homotopy_dump(range(120)) == HOMOTOPY_DIGEST

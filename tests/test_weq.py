@@ -8,6 +8,9 @@ from xhomotopy.folds import apply_fold
 from xhomotopy.generators import random_equivalence, random_graph
 from xhomotopy.search import is_isomorphic
 from xhomotopy.weq import (
+    COPY_INDUCED,
+    IMAGE_INDUCED,
+    IMAGE_SUBGRAPH,
     IN,
     OUT,
     UNKNOWN,
@@ -183,18 +186,43 @@ class TestClosureChecks:
         report2 = check_two_of_three(identity_map(fig.B), identity_map(fig.B), "in_w")
         assert check_named(report2, "g,gf=>f").status == "pass"
 
+    def test_capitalised_predicate_aliases_are_gone(self):
+        fig = build_figure3()
+        with pytest.raises(SignatureMismatch):
+            check_two_of_three(identity_map(fig.B), identity_map(fig.B), "in_W")
+
+
+def test_strict_member_outside_the_default_relaxed_class():
+    # a looped point beside a looped edge, collapsed onto two looped points:
+    # a homotopy equivalence, but the default semantics takes the looped
+    # edge as a (non-induced) copy of the stiff graph and sees it collapse
+    a = make_graph(["v0", "v1", "v2"], [("v0", "v0"), ("v1", "v1"), ("v2", "v2"), ("v1", "v2")])
+    b = make_graph(["b0", "b1"], [("b0", "b0"), ("b1", "b1")])
+    f = GraphMap(a, b, (("v0", "b0"), ("v1", "b1"), ("v2", "b1")))
+    strict = in_W_times(f)
+    assert strict.verdict == IN and strict.certificate.verify()
+    relaxed = in_W(f)
+    assert relaxed.verdict == OUT
+    assert relaxed.witness.failure == "non-injective"
+    assert relaxed.witness.colliding == ("v1", "v2")
+    assert relaxed.reverify_witness()
+
 
 def test_strict_class_members_are_relaxed_class_members():
-    rng = random.Random(31)
-    confirmed = 0
-    while confirmed < 100:
-        g = random_graph(rng, rng.randint(1, 4))
-        m = random_equivalence(rng, g, 2, "w")
-        if m.domain.order > 6 or m.codomain.order > 6:
-            continue
-        if in_W_times(m).verdict == IN:
-            assert in_W(m).verdict == IN
-            confirmed += 1
+    # holds for induced copies under either image reading; the default
+    # (subgraph copies) fails it, see the test above
+    for image_mode in (IMAGE_SUBGRAPH, IMAGE_INDUCED):
+        semantics = WSemantics(COPY_INDUCED, image_mode)
+        rng = random.Random(31)
+        confirmed = 0
+        while confirmed < 100:
+            g = random_graph(rng, rng.randint(1, 4))
+            m = random_equivalence(rng, g, 2, "w")
+            if m.domain.order > 6 or m.codomain.order > 6:
+                continue
+            if in_W_times(m).verdict == IN:
+                assert in_W(m, semantics=semantics).verdict == IN
+                confirmed += 1
 
 
 def test_out_witnesses_always_reverify():
