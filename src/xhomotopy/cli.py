@@ -18,7 +18,7 @@ from .constructions import counterexample_pushout, mapping_cylinder, pushout
 from .core import BudgetExceeded, GraphError, product
 from .folds import stiff_reduction
 from .homotopy import are_homotopic, graphs_equivalent, is_equivalence
-from .search import enumerate_homs, is_isomorphic
+from .search import enumerate_hom_assignments, is_isomorphic
 from .textio import Document, ParseError, parse_document, serialize_document, serialize_graph, to_dot
 from .weq import WSemantics, check_two_of_six, check_two_of_three, in_W
 
@@ -79,11 +79,13 @@ def _cmd_iso(args) -> int:
 
 def _cmd_homs(args) -> int:
     doc = _load(args.file)
-    maps = enumerate_homs(doc.graph(args.domain), doc.graph(args.codomain), budget=args.budget)
-    payload = {"count": len(maps), "maps": [dict(m.assignment) for m in maps]}
+    domain = doc.graph(args.domain)
+    keys = enumerate_hom_assignments(domain, doc.graph(args.codomain), budget=args.budget)
+    maps = [dict(zip(domain.sorted_vertices, key)) for key in keys]
+    payload = {"count": len(maps), "maps": maps}
     lines = [f"{len(maps)} maps"]
     if not args.count_only:
-        lines.extend(" ".join(f"{v}->{w}" for v, w in m.assignment) for m in maps)
+        lines.extend(" ".join(f"{v}->{w}" for v, w in m.items()) for m in maps)
     _emit(args, payload, "\n".join(lines))
     return EXIT_OK
 

@@ -9,6 +9,7 @@ query is reported in sorted label order so runs are reproducible.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -68,10 +69,13 @@ class BudgetExceeded(GraphError):
         self.context = context
 
 
+_FORBIDDEN_IN_LABEL = re.compile(r"[\s-]")  # matches exactly '-' and the str.isspace() characters
+
+
 def _check_label(label: str) -> None:
     if not isinstance(label, str) or not label:
         raise BadLabel(f"vertex label must be a nonempty string, got {label!r}")
-    if "-" in label or any(ch.isspace() for ch in label):
+    if _FORBIDDEN_IN_LABEL.search(label):
         raise BadLabel(f"vertex label may not contain whitespace or '-': {label!r}")
 
 
@@ -209,6 +213,9 @@ def find_map_violation(domain: Graph, codomain: Graph, assignment: Mapping[str, 
             raise UnknownVertex(f"assignment is not defined on {v!r}")
         if assignment[v] not in codomain.vertex_set:
             raise UnknownVertex(f"image {assignment[v]!r} is not a codomain vertex")
+    edges = codomain.edges
+    if all(_norm_edge(assignment[u], assignment[v]) in edges for u, v in domain.edges):
+        return None
     for u, v in sorted(domain.edges):
         if not codomain.has_edge(assignment[u], assignment[v]):
             return (u, v)

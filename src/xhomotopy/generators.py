@@ -49,8 +49,7 @@ def random_unfold_map(rng: random.Random, G: Graph, fresh: str) -> GraphMap:
     template = rng.choice(sorted(G.vertices))
     nbrs = sorted(G.neighbors(template))
     attach = [v for v in nbrs if rng.random() < 0.7]
-    edges = list(G.edges) + [(fresh, v) for v in attach]
-    bigger = make_graph(list(G.vertices) + [fresh], edges)
+    bigger = Graph(G.vertices + (fresh,), G.edges | {(fresh, v) for v in attach})
     return GraphMap(G, bigger, tuple((v, v) for v in G.vertices))
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 from .core import (
     BudgetExceeded,
@@ -109,8 +110,9 @@ def verify_homotopy(cert: HomotopyCertificate) -> HomotopyCheck:
     """Re-check a certificate on the materialized product graph.
 
     Builds A x I_k, assigns F(a, i) = f_i(a), and verifies edge
-    preservation plus both endpoint restrictions.  Never raises; a failure
-    reports the violating product edge.
+    preservation.  The endpoint restrictions F(-, 0) and F(-, k) are the
+    chain's ends by construction.  Never raises; a failure reports the
+    violating product edge.
     """
     A = cert.chain[0].domain
     B = cert.chain[0].codomain
@@ -120,12 +122,7 @@ def verify_homotopy(cert: HomotopyCertificate) -> HomotopyCheck:
         f"({a},{i})": cert.chain[i](a) for a in A.vertices for i in range(k + 1)
     }
     violation = find_map_violation(cyl, B, assignment)
-    if violation is not None:
-        return HomotopyCheck(False, violation)
-    for a in A.vertices:
-        if assignment[f"({a},0)"] != cert.start(a) or assignment[f"({a},{k})"] != cert.end(a):
-            return HomotopyCheck(False, None)
-    return HomotopyCheck(True, None)
+    return HomotopyCheck(violation is None, violation)
 
 
 def _step_candidates(A: Graph, B: Graph, key: Key) -> dict[str, tuple[str, ...]]:
@@ -254,39 +251,41 @@ class EquivalenceCertificate:
 def is_equivalence(f: GraphMap, budget: int | None = None) -> EquivalenceCertificate | None:
     """Brute-force search for a two-sided homotopy inverse.
 
-    Inverse candidates run in canonical order.  The identity components of
-    the two endomorphism monoids are explored at most once each (cheaper
-    side first, the other lazily); every candidate is then a membership
-    lookup.  Chains to the identity come from the component's parent
-    links, reversed, which stays a valid certificate because the one-step
-    relation is symmetric.  Absence is definitive within budget.
+    Inverse candidates g run in canonical order as raw image tuples, and
+    gf and fg are composed on those tuples; only the inverse that is
+    returned is built as a map.  The identity component of each distinct
+    graph is explored at most once (cheaper side first, the other lazily),
+    so when A = B both checks share one component; every candidate is then
+    a membership lookup.  Chains to the identity come from the component's
+    parent links, reversed, which stays a valid certificate because the
+    one-step relation is symmetric.  Absence is definitive within budget.
     """
     A, B = f.domain, f.codomain
-    searches: dict[str, _StepSearch] = {}
+    searches: dict[Graph, _StepSearch] = {}
 
-    def component(side: str) -> _StepSearch:
-        if side not in searches:
-            G = A if side == "A" else B
+    def component(G: Graph) -> _StepSearch:
+        if G not in searches:
             search = _StepSearch(G, G, budget)
-            search.seed(_map_key(identity_map(G)))
-            searches[side] = search
-        return searches[side]
+            search.seed(G.sorted_vertices)
+            searches[G] = search
+        return searches[G]
 
-    def chain_to_identity(side: str, m: GraphMap) -> HomotopyCertificate:
-        chain = component(side).chain_from_start(_map_key(m))
+    def chain_to_identity(G: Graph, m: GraphMap) -> HomotopyCertificate:
+        chain = component(G).chain_from_start(_map_key(m))
         chain.reverse()
         return HomotopyCertificate(tuple(chain))
 
-    first, second = ("A", "B") if A.order <= B.order else ("B", "A")
-    for g in enumerate_homs(B, A, budget=budget):
-        gf = compose(g, f)
-        fg = compose(f, g)
-        byside = {"A": gf, "B": fg}
-        if not component(first).reach(_map_key(byside[first])):
-            continue
-        if not component(second).reach(_map_key(byside[second])):
-            continue
-        return EquivalenceCertificate(f, g, chain_to_identity("A", gf), chain_to_identity("B", fg))
+    pos_B = B._compiled[1]
+    f_pos = [pos_B[b] for b in _map_key(f)]  # f over sorted A, as B positions
+    f_of = f.mapping
+    sides = ((A, 0), (B, 1)) if A.order <= B.order else ((B, 1), (A, 0))
+    for key in enumerate_hom_assignments(B, A, budget=budget):
+        goals = (tuple(key[k] for k in f_pos), tuple(f_of[a] for a in key))  # gf, fg
+        if all(component(G).reach(goals[side]) for G, side in sides):
+            g = assignment_to_map(B, A, key)
+            return EquivalenceCertificate(
+                f, g, chain_to_identity(A, compose(g, f)), chain_to_identity(B, compose(f, g))
+            )
     return None
 
 
@@ -315,14 +314,13 @@ def homotopy_classes(A: Graph, B: Graph, budget: int | None = None) -> list[list
     keys = enumerate_hom_assignments(A, B, budget=budget)
     search = _StepSearch(A, B, budget)
     classes: list[list[GraphMap]] = []
-    claimed: set[Key] = set()
     for key in keys:
-        if key in claimed:
+        if key in search.parents:
             continue
-        before = set(search.parents)
+        before = len(search.parents)
         search.seed(key)
         search.reach(None)
-        component = set(search.parents) - before
-        claimed |= component
+        # parents is insertion-ordered: the new component is its tail
+        component = islice(reversed(search.parents), len(search.parents) - before)
         classes.append([assignment_to_map(A, B, k) for k in sorted(component)])
     return classes

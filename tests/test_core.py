@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -29,6 +30,7 @@ from xhomotopy import (
     relabel,
 )
 from xhomotopy.claims import build_figure1, build_figure3
+from xhomotopy.core import _check_label
 from xhomotopy.search import is_isomorphic
 
 FIG3_D_EDGES = ["11", "12", "14", "23", "24", "25", "33", "34", "44", "55"]
@@ -69,6 +71,15 @@ class TestMakeGraph:
     def test_loop_from_equal_pair(self):
         g = make_graph("a", ["aa"])
         assert g.is_looped("a") and g.degree("a") == 1
+
+    def test_label_check_rejects_exactly_dash_and_whitespace(self):
+        rejected = []
+        for code in range(sys.maxunicode + 1):
+            try:
+                _check_label(chr(code))
+            except BadLabel:
+                rejected.append(code)
+        assert rejected == [c for c in range(sys.maxunicode + 1) if chr(c) == "-" or chr(c).isspace()]
 
 
 class TestNeighbors:
@@ -157,6 +168,15 @@ class TestGraphMapValidation:
         loop = make_graph("v", ["vv"])
         k2 = make_graph("ab", ["ab"])
         assert not is_graph_map(loop, k2, {"v": "a"})
+
+    @given(seeded_graphs(max_vertices=5), seeded_graphs(max_vertices=4, min_vertices=1), st.integers(0, 10**9))
+    def test_reports_the_first_violation_in_sorted_edge_order(self, a, b, seed):
+        rng = random.Random(seed)
+        assignment = {v: rng.choice(b.vertices) for v in a.vertices}
+        first = next(
+            ((u, v) for u, v in sorted(a.edges) if not b.has_edge(assignment[u], assignment[v])), None
+        )
+        assert find_map_violation(a, b, assignment) == first
 
 
 class TestCompose:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,9 @@ from xhomotopy.claims import build_figure1, build_figure2, build_figure3, figure
 from xhomotopy.constructions import complete, cycle
 from xhomotopy.folds import apply_fold, foldable_pairs
 from xhomotopy.generators import random_equivalence, random_graph
+from xhomotopy import core, homotopy
 from xhomotopy.homotopy import (
+    EquivalenceCertificate,
     HomotopyCertificate,
     are_homotopic,
     graphs_equivalent,
@@ -30,6 +33,7 @@ from xhomotopy.homotopy import (
     verify_homotopy,
 )
 from xhomotopy.search import enumerate_homs
+from xhomotopy.weq import in_W_times
 
 
 class TestOneStep:
@@ -364,3 +368,100 @@ def homotopy_dump(seeds):
 
 def test_homotopy_outputs_match_recorded_digest():
     assert homotopy_dump(range(120)) == HOMOTOPY_DIGEST
+
+
+def _materializing_is_equivalence(f, budget=None):
+    """The inverse search before it ran on image tuples: every candidate is
+    built and composed as a validated map, with one component search per
+    side even when the two sides are the same graph."""
+    A, B = f.domain, f.codomain
+    searches = {}
+
+    def component(side):
+        if side not in searches:
+            G = A if side == "A" else B
+            search = homotopy._StepSearch(G, G, budget)
+            search.seed(homotopy._map_key(identity_map(G)))
+            searches[side] = search
+        return searches[side]
+
+    def chain_to_identity(side, m):
+        chain = component(side).chain_from_start(homotopy._map_key(m))
+        chain.reverse()
+        return HomotopyCertificate(tuple(chain))
+
+    first, second = ("A", "B") if A.order <= B.order else ("B", "A")
+    for g in enumerate_homs(B, A, budget=budget):
+        gf = compose(g, f)
+        fg = compose(f, g)
+        byside = {"A": gf, "B": fg}
+        if not component(first).reach(homotopy._map_key(byside[first])):
+            continue
+        if not component(second).reach(homotopy._map_key(byside[second])):
+            continue
+        return EquivalenceCertificate(f, g, chain_to_identity("A", gf), chain_to_identity("B", fg))
+    return None
+
+
+def _inverse_search_maps(i):
+    """Seeded maps for the inverse-search differential: a random equivalence
+    chain, a random hom, a random endomorphism and an identity."""
+    rng = random.Random(20_000 + i)
+    maps = [random_equivalence(rng, random_graph(rng, rng.randint(1, 4)), rng.randint(1, 3), "w")]
+    a = random_graph(rng, rng.randint(1, 4), prefix="a")
+    b = random_graph(rng, rng.randint(1, 4), prefix="b")
+    for dom, cod in ((a, b), (a, a)):
+        homs = enumerate_homs(dom, cod)
+        if homs:
+            maps.append(rng.choice(homs))
+    maps.append(identity_map(b))
+    return maps
+
+
+def test_inverse_search_on_image_tuples_matches_the_materializing_loop():
+    kinds = set()
+    for i in range(80):
+        for f in _inverse_search_maps(i):
+            for budget in (None, 5, 50):
+                expected = _attempt(lambda: _equivalence(_materializing_is_equivalence(f, budget)))
+                assert _attempt(lambda: _equivalence(is_equivalence(f, budget))) == expected
+                kinds.add(expected[2].split()[0] if expected[0] == "error" else expected[1] is None)
+    # certificates, definitive negatives and budget stops all occur
+    assert kinds == {True, False, "hom"}
+
+
+def test_figure1_inverse_search_builds_only_the_certificate(monkeypatch):
+    calls = []
+    validate = core.find_map_violation
+
+    def counting(*args):
+        calls.append(args)
+        return validate(*args)
+
+    monkeypatch.setattr(core, "find_map_violation", counting)
+    cert = is_equivalence(build_figure1().g)
+    assert cert is not None
+    # Hom(B, A) holds 94,493 maps; only the returned certificate is built
+    assert len(calls) < 100
+
+
+def test_identity_shares_one_component_search(monkeypatch):
+    built = []
+
+    class Counting(homotopy._StepSearch):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(homotopy, "_StepSearch", Counting)
+    cert = is_equivalence(identity_map(build_figure3().C))
+    assert cert is not None and cert.verify()
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_identity_of_a_ten_vertex_random_graph_is_in_the_strict_class(seed):
+    started = time.monotonic()
+    verdict = in_W_times(identity_map(random_graph(random.Random(seed), 10)))
+    assert verdict.verdict == "in" and verdict.certificate.verify()
+    assert time.monotonic() - started < 10
