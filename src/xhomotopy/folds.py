@@ -174,14 +174,32 @@ def stiff_reduction(
     if policy not in ("first", "random"):
         raise BadParameter(f"unknown fold policy {policy!r}")
     rng = random.Random(seed) if policy == "random" else None
-    labels, _, adj, _ = G._compiled
+    labels = G._compiled[0]
+    return FoldSequence.replay(G, [FoldStep(labels[v], labels[w]) for v, w in _fold_down(G, rng)])
+
+
+def _fold_down(G: Graph, rng: random.Random | None = None) -> list[tuple[int, int]]:
+    """Index pairs (removed, target) of a fold-down of G to a stiff graph:
+    the least foldable pair at each step, or one drawn by ``rng`` from the
+    sorted pair list.  The survivors are the vertices never removed."""
+    adj = G._compiled[2]
     alive = _everything(G)
-    chosen: list[FoldStep] = []
+    chosen: list[tuple[int, int]] = []
     while pairs := list(islice(_fold_pairs(adj, alive), 1 if rng is None else None)):
         v, w = pairs[0] if rng is None else rng.choice(pairs)
-        chosen.append(FoldStep(labels[v], labels[w]))
+        chosen.append((v, w))
         alive &= ~(1 << v)
-    return FoldSequence.replay(G, chosen)
+    return chosen
+
+
+def _retraction(G: Graph) -> list[int]:
+    """The ``first`` stiff reduction's composite at index level: entry k is
+    the index of the survivor that vertex k folds onto, so the stiff
+    subgraph is the set of fixed points."""
+    image = list(range(G.order))
+    for v, w in reversed(_fold_down(G)):
+        image[v] = image[w]
+    return image
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from .core import (
     interval,
     product,
 )
-from .folds import FoldSequence, stiff_reduction
+from .folds import FoldSequence, _retraction, stiff_reduction
 from .search import (
     assignment_to_map,
     enumerate_hom_assignments,
@@ -248,19 +248,58 @@ class EquivalenceCertificate:
         return bool(verify_homotopy(left)) and bool(verify_homotopy(right))
 
 
-def is_equivalence(f: GraphMap, budget: int | None = None) -> EquivalenceCertificate | None:
-    """Brute-force search for a two-sided homotopy inverse.
+def _adjacency_count(adj: list[int], core: list[int]) -> int:
+    """Adjacency bits of the subgraph induced on the indices ``core``."""
+    mask = sum(1 << k for k in core)
+    return sum((adj[k] & mask).bit_count() for k in core)
 
-    Inverse candidates g run in canonical order as raw image tuples, and
-    gf and fg are composed on those tuples; only the inverse that is
-    returned is built as a map.  The identity component of each distinct
-    graph is explored at most once (cheaper side first, the other lazily),
-    so when A = B both checks share one component; every candidate is then
-    a membership lookup.  Chains to the identity come from the component's
-    parent links, reversed, which stays a valid certificate because the
-    one-step relation is symmetric.  Absence is definitive within budget.
+
+def is_equivalence(f: GraphMap, budget: int | None = None) -> EquivalenceCertificate | None:
+    """Two-sided homotopy inverse of f, decided through stiff cores.
+
+    Let r_A : A -> A_s and r_B : B -> B_s be the ``first`` stiff
+    reductions' fold retractions, with inclusions i_A and i_B.  Since
+    i r ~ 1 on both sides and the identity of a stiff graph is alone in its
+    one-step component, f is an equivalence exactly when
+    phi = r_B o f o i_A is an isomorphism A_s -> B_s, and then g : B -> A
+    is a homotopy inverse exactly when r_A o g o i_B = phi^-1.  When phi is
+    no isomorphism the answer is None at once, with no hom search and no
+    budget spent.  Otherwise hom enumeration restricted to
+    g(b) in r_A^-1(phi^-1(b)) for b in B_s lists exactly the homotopy
+    inverses in lexicographic order, so its first entry is the canonical
+    inverse: the least one in Hom(B, A).
+
+    Candidates are tested as raw image tuples, gf and fg composed on those
+    tuples; only the inverse that is returned is built as a map.  The
+    identity component of each distinct graph is explored at most once
+    (cheaper side first, the other lazily), so when A = B both checks share
+    one component.  Chains to the identity come from the component's parent
+    links, reversed, which stays a valid certificate because the one-step
+    relation is symmetric.  Absence is definitive; BudgetExceeded can come
+    only from the search for a positive's certificate.
     """
     A, B = f.domain, f.codomain
+    pos_B = B._compiled[1]
+    f_pos = [pos_B[b] for b in _map_key(f)]  # f over sorted A, as B positions
+    r_A = _retraction(A)
+    r_B = r_A if B == A else _retraction(B)
+    core_A = [k for k, s in enumerate(r_A) if s == k]
+    core_B = [k for k, s in enumerate(r_B) if s == k]
+    phi_inverse = {r_B[f_pos[a]]: a for a in core_A}
+    # phi is a hom, so a bijection of cores with equal adjacency counts
+    # carries edges onto edges: it is an isomorphism
+    if (
+        len(phi_inverse) != len(core_A)
+        or len(core_A) != len(core_B)
+        or _adjacency_count(A._compiled[2], core_A) != _adjacency_count(B._compiled[2], core_B)
+    ):
+        return None
+    labels_A, labels_B = A._compiled[0], B._compiled[0]
+    fibres: dict[int, list[str]] = {}
+    for k, s in enumerate(r_A):
+        fibres.setdefault(s, []).append(labels_A[k])
+    candidates = {labels_B[b]: fibres[a] for b, a in phi_inverse.items()}
+
     searches: dict[Graph, _StepSearch] = {}
 
     def component(G: Graph) -> _StepSearch:
@@ -275,11 +314,9 @@ def is_equivalence(f: GraphMap, budget: int | None = None) -> EquivalenceCertifi
         chain.reverse()
         return HomotopyCertificate(tuple(chain))
 
-    pos_B = B._compiled[1]
-    f_pos = [pos_B[b] for b in _map_key(f)]  # f over sorted A, as B positions
     f_of = f.mapping
     sides = ((A, 0), (B, 1)) if A.order <= B.order else ((B, 1), (A, 0))
-    for key in enumerate_hom_assignments(B, A, budget=budget):
+    for key in enumerate_hom_assignments(B, A, budget=budget, candidates=candidates):
         goals = (tuple(key[k] for k in f_pos), tuple(f_of[a] for a in key))  # gf, fg
         if all(component(G).reach(goals[side]) for G, side in sides):
             g = assignment_to_map(B, A, key)

@@ -1,7 +1,7 @@
 """Membership tests for weak-equivalence classes and axiom instance checks.
 
 Two classes are decided here.  The strict class contains the maps with a
-two-sided homotopy inverse (decided by brute force).  The relaxed class
+two-sided homotopy inverse (decided through stiff cores).  The relaxed class
 contains the maps that carry every copy of the domain's stiff subgraph
 isomorphically onto a copy of the codomain's stiff subgraph.  ``unknown``
 is a first-class verdict: a blown budget is reported, never coerced.
@@ -58,7 +58,9 @@ class WxVerdict:
 
 
 def in_W_times(f: GraphMap, budget: int | None = None) -> WxVerdict:
-    """Membership in the strict class, by brute-force inverse search."""
+    """Membership in the strict class, by ``is_equivalence``: ``out`` when
+    the stiff cores rule an inverse out (no budget spent), else ``in`` with
+    the canonical inverse and its chains, or ``unknown`` past the budget."""
     try:
         cert = is_equivalence(f, budget=budget)
     except BudgetExceeded as exc:

@@ -319,8 +319,10 @@ def _exists_equivalence(a, b):
     return False
 
 
-# SHA-256 of homotopy_dump(range(120)), recorded on the label-set step candidates
-HOMOTOPY_DIGEST = "f3c16b36e91789cd60228e838f03c28418e50163611e729c1b70932692f7d99b"
+# SHA-256 of homotopy_dump(range(120)).  Its is_equivalence entries are
+# checked against the materializing loop by
+# test_inverse_search_on_the_recorded_homotopy_cases_matches_the_materializing_loop
+HOMOTOPY_DIGEST = "31644bd02256cf1688046b15318487a32feea367b3fb639f9d555fb5daa249dc"
 
 
 def _attempt(fn):
@@ -340,13 +342,18 @@ def _equivalence(cert):
     return [list(cert.inverse.assignment), _chain(cert.hom_to_identity_domain), _chain(cert.hom_to_identity_codomain)]
 
 
-def _homotopy_case(i):
+def _homotopy_inputs(i):
     rng = random.Random(10_000 + i)
     a = random_graph(rng, rng.randint(0, 3), prefix="a")
     b = random_graph(rng, rng.randint(1, 4), prefix="b")
     homs = enumerate_homs(a, b)
     picks = [rng.choice(homs) for _ in range(2)] if homs else []
     equiv = random_equivalence(rng, random_graph(rng, rng.randint(1, 3)), 2, "w")
+    return a, b, picks, equiv
+
+
+def _homotopy_case(i):
+    a, b, picks, equiv = _homotopy_inputs(i)
     out = []
     for budget in (None, 5, 50):
         out.append(_attempt(lambda: [[list(m.assignment) for m in cls] for cls in homotopy_classes(a, b, budget)]))
@@ -418,16 +425,41 @@ def _inverse_search_maps(i):
     return maps
 
 
+def _check_against_materializing_loop(f, budget):
+    """The loop's result at ``budget``, after checking is_equivalence against
+    it: equal without a budget; with one, equal, or the loop ran out and
+    is_equivalence, which never searches more, returns the unbounded answer
+    or also runs out."""
+    expected = _attempt(lambda: _equivalence(_materializing_is_equivalence(f, budget)))
+    got = _attempt(lambda: _equivalence(is_equivalence(f, budget)))
+    if budget is None or got == expected:
+        assert got == expected
+        return expected
+    assert expected[:2] == ["error", "BudgetExceeded"]
+    if got[0] != "error":
+        assert got == _attempt(lambda: _equivalence(_materializing_is_equivalence(f)))
+    else:
+        assert got[1] == "BudgetExceeded"
+    return expected
+
+
 def test_inverse_search_on_image_tuples_matches_the_materializing_loop():
     kinds = set()
     for i in range(80):
         for f in _inverse_search_maps(i):
             for budget in (None, 5, 50):
-                expected = _attempt(lambda: _equivalence(_materializing_is_equivalence(f, budget)))
-                assert _attempt(lambda: _equivalence(is_equivalence(f, budget))) == expected
+                expected = _check_against_materializing_loop(f, budget)
                 kinds.add(expected[2].split()[0] if expected[0] == "error" else expected[1] is None)
     # certificates, definitive negatives and budget stops all occur
     assert kinds == {True, False, "hom"}
+
+
+def test_inverse_search_on_the_recorded_homotopy_cases_matches_the_materializing_loop():
+    for i in range(120):
+        _, _, picks, equiv = _homotopy_inputs(i)
+        for f in [equiv, *picks[:1]]:
+            for budget in (None, 5, 50):
+                _check_against_materializing_loop(f, budget)
 
 
 def test_figure1_inverse_search_builds_only_the_certificate(monkeypatch):
@@ -465,3 +497,85 @@ def test_identity_of_a_ten_vertex_random_graph_is_in_the_strict_class(seed):
     verdict = in_W_times(identity_map(random_graph(random.Random(seed), 10)))
     assert verdict.verdict == "in" and verdict.certificate.verify()
     assert time.monotonic() - started < 10
+
+
+def _class_partition_oracle(A, B):
+    """Independent oracle for maps A -> B: f has an inverse when some g in
+    Hom(B, A) has gf and fg in the identity classes of the class partitions
+    of End(A) and End(B)."""
+    class_of = {}
+    for G in (A, B):
+        for idx, cls in enumerate(homotopy_classes(G, G)):
+            for m in cls:
+                class_of[G, tuple(m(v) for v in G.sorted_vertices)] = idx
+    identity = {G: class_of[G, G.sorted_vertices] for G in (A, B)}
+    homs_ba = [g.mapping for g in enumerate_homs(B, A)]
+
+    def has_inverse(f):
+        image = f.mapping
+        return any(
+            class_of[A, tuple(g[image[v]] for v in A.sorted_vertices)] == identity[A]
+            and class_of[B, tuple(image[g[v]] for v in B.sorted_vertices)] == identity[B]
+            for g in homs_ba
+        )
+
+    return has_inverse
+
+
+def test_negative_verdicts_match_the_class_partition_oracle():
+    # graphs whose stiff subgraphs are isomorphic, so phi = r_B o f o i_A
+    # fails only on the map, never on the graphs
+    special = [
+        make_graph(()),
+        make_graph(["p"]),
+        make_graph(["p"], [("p", "p")]),
+        make_graph(["p", "q"]),
+        make_graph(["p", "q"], [("p", "p"), ("p", "q")]),
+        make_graph(["p", "q", "s"], [("p", "q")]),
+    ]
+    rng = random.Random(8128)
+    graphs = special + [random_graph(rng, rng.randint(0, 4), prefix="r") for _ in range(40)]
+    outcomes = set()
+    pairs = 0
+    for a in graphs:
+        for b in rng.sample(graphs, 6) + [a]:
+            if not graphs_equivalent(a, b).equivalent:
+                continue
+            pairs += 1
+            has_inverse = _class_partition_oracle(a, b)
+            for f in enumerate_homs(a, b):
+                verdict = is_equivalence(f) is not None
+                assert verdict == has_inverse(f)
+                outcomes.add(verdict)
+                if not verdict:
+                    # read off the stiff cores: no search, no budget spent
+                    assert is_equivalence(f, budget=0) is None
+    assert pairs > 40 and outcomes == {True, False}
+
+
+def test_figure1_equivalence_enumerates_few_hom_tuples(monkeypatch):
+    found = []
+    enumerate_tuples = homotopy.enumerate_hom_assignments
+
+    def counting(*args, **kwargs):
+        keys = enumerate_tuples(*args, **kwargs)
+        found.append(len(keys))
+        return keys
+
+    monkeypatch.setattr(homotopy, "enumerate_hom_assignments", counting)
+    assert is_equivalence(build_figure1().g) is not None
+    # Hom(B, A) holds 94,493 tuples; only the inverses phi allows are listed
+    assert sum(found) < 1000
+
+
+def test_figure3_negative_runs_no_search(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no search expected")
+
+    monkeypatch.setattr(homotopy, "enumerate_hom_assignments", forbidden)
+    monkeypatch.setattr(homotopy, "_StepSearch", forbidden)
+    assert is_equivalence(build_figure3().f) is None
+
+
+def test_figure3_negative_spends_no_budget():
+    assert in_W_times(build_figure3().f, budget=1).verdict == "out"
