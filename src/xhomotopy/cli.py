@@ -8,6 +8,7 @@ Exit codes: 0 success (and, for decision commands, a positive answer),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -384,9 +385,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def run_cli(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.budget is None and os.environ.get("XHOMOTOPY_BUDGET"):
         try:
             args.budget = int(os.environ["XHOMOTOPY_BUDGET"])

@@ -226,9 +226,27 @@ def is_graph_map(domain: Graph, codomain: Graph, assignment: Mapping[str, str]) 
     return find_map_violation(domain, codomain, assignment) is None
 
 
+def _proven(cls, *values):
+    """A GraphMap or Embedding built from field values the program has
+    already proven valid, without re-checking them.  The values are stored
+    as the validating constructor stores them: the assignment or vertex
+    image sorted by domain label.  Only engine results and maps derived
+    from valid maps come through here; caller-supplied data goes through
+    the public constructor."""
+    obj = object.__new__(cls)
+    vars(obj).update(zip(cls.__dataclass_fields__, values))
+    return obj
+
+
 @dataclass(frozen=True)
 class GraphMap:
-    """Edge-preserving vertex function; validated on construction."""
+    """Edge-preserving vertex function.
+
+    The public constructor validates: the assignment must cover the domain
+    exactly and carry every edge to an edge.  Maps the search engine or a
+    fold has proven, and maps derived from valid maps (composites,
+    identities), are stored as proven without a second check.
+    """
 
     domain: Graph
     codomain: Graph
@@ -297,14 +315,15 @@ def graph_map(domain: Graph, codomain: Graph, mapping: Mapping[str, str]) -> Gra
 
 
 def identity_map(G: Graph) -> GraphMap:
-    return GraphMap(G, G, tuple((v, v) for v in G.vertices))
+    return _proven(GraphMap, G, G, tuple((v, v) for v in G.sorted_vertices))
 
 
 def compose(g: GraphMap, f: GraphMap) -> GraphMap:
     """g after f.  Requires codomain(f) = domain(g) as labelled graphs."""
     if f.codomain != g.domain:
         raise DomainMismatch("codomain of the inner map must equal the domain of the outer map")
-    return GraphMap(f.domain, g.codomain, tuple((v, g(f(v))) for v in f.domain.vertices))
+    outer = g.mapping
+    return _proven(GraphMap, f.domain, g.codomain, tuple((v, outer[w]) for v, w in f.assignment))
 
 
 def invert(f: GraphMap) -> GraphMap:
@@ -320,7 +339,9 @@ class Embedding:
 
     In ``subgraph`` mode every pattern edge lands on a host edge; in
     ``induced`` mode pattern non-edges (including missing loops) must land
-    on host non-edges as well.
+    on host non-edges as well.  The public constructor validates; copies
+    found by the search engine are stored as proven, and ``check``
+    re-verifies any embedding on demand.
     """
 
     pattern: Graph
@@ -353,7 +374,7 @@ class Embedding:
         )
 
     def as_map(self) -> GraphMap:
-        return GraphMap(self.pattern, self.host, self.vertex_image)
+        return _proven(GraphMap, self.pattern, self.host, self.vertex_image)
 
     def check(self) -> bool:
         """Re-verify injectivity and the mode predicate edge by edge."""

@@ -27,6 +27,7 @@ from .core import (
     UnknownVertex,
     BadParameter,
     _bits,
+    _proven,
     induced_subgraph,
 )
 from .search import is_isomorphic
@@ -107,8 +108,8 @@ def apply_fold(G: Graph, removed: str, target: str) -> tuple[Graph, GraphMap]:
     """Remove a foldable vertex; returns (G - v, fold map G -> G - v)."""
     _check_fold(G, _everything(G), removed, target)
     smaller = induced_subgraph(G, [v for v in G.vertices if v != removed])
-    fold_map = GraphMap(
-        G, smaller, tuple((v, target if v == removed else v) for v in G.vertices)
+    fold_map = _proven(
+        GraphMap, G, smaller, tuple((v, target if v == removed else v) for v in G.sorted_vertices)
     )
     return smaller, fold_map
 
@@ -126,6 +127,7 @@ class FoldSequence:
     def replay(cls, start: Graph, steps: Iterable[FoldStep | tuple[str, str]]) -> "FoldSequence":
         """Validate each step against the survivors of the steps before it,
         then build the result and the composite once."""
+        labels, index, _, _ = start._compiled
         alive = _everything(start)
         done: list[FoldStep] = []
         for raw in steps:
@@ -137,12 +139,10 @@ class FoldSequence:
                     f"step {len(done)} ({step.removed}->{step.target}) is not a legal fold: {exc}"
                 ) from exc
             done.append(step)
-        labels = start._compiled[0]
-        image = {labels[k]: labels[k] for k in _bits(alive)}
-        result = induced_subgraph(start, image)
-        for step in reversed(done):
-            image[step.removed] = image[step.target]
-        return cls(start, tuple(done), result, GraphMap(start, result, tuple(image.items())))
+        result = induced_subgraph(start, [labels[k] for k in _bits(alive)])
+        image = _composite(start.order, [(index[s.removed], index[s.target]) for s in done])
+        composite = _proven(GraphMap, start, result, tuple((v, labels[w]) for v, w in zip(labels, image)))
+        return cls(start, tuple(done), result, composite)
 
     def to_json(self) -> dict:
         return {
@@ -192,14 +192,19 @@ def _fold_down(G: Graph, rng: random.Random | None = None) -> list[tuple[int, in
     return chosen
 
 
-def _retraction(G: Graph) -> list[int]:
-    """The ``first`` stiff reduction's composite at index level: entry k is
-    the index of the survivor that vertex k folds onto, so the stiff
-    subgraph is the set of fixed points."""
-    image = list(range(G.order))
-    for v, w in reversed(_fold_down(G)):
+def _composite(n: int, pairs: Sequence[tuple[int, int]]) -> list[int]:
+    """Composite of the folds (removed, target) of an n-vertex graph at
+    index level: entry k is the index of the survivor that vertex k folds
+    onto, so the survivors are the fixed points."""
+    image = list(range(n))
+    for v, w in reversed(pairs):
         image[v] = image[w]
     return image
+
+
+def _retraction(G: Graph) -> list[int]:
+    """The ``first`` stiff reduction's composite at index level."""
+    return _composite(G.order, _fold_down(G))
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from .core import (
 )
 from .folds import FoldSequence, _retraction, stiff_reduction
 from .search import (
-    assignment_to_map,
+    _assignment_to_map,
     enumerate_hom_assignments,
     enumerate_homs,
     is_isomorphic,
@@ -204,7 +204,7 @@ class _StepSearch:
             keys.append(cursor)
             cursor = self.parents[cursor]
         keys.reverse()
-        return [assignment_to_map(self.A, self.B, k) for k in keys]
+        return [_assignment_to_map(self.A, self.B, k) for k in keys]
 
 
 def _map_key(f: GraphMap) -> Key:
@@ -319,7 +319,7 @@ def is_equivalence(f: GraphMap, budget: int | None = None) -> EquivalenceCertifi
     for key in enumerate_hom_assignments(B, A, budget=budget, candidates=candidates):
         goals = (tuple(key[k] for k in f_pos), tuple(f_of[a] for a in key))  # gf, fg
         if all(component(G).reach(goals[side]) for G, side in sides):
-            g = assignment_to_map(B, A, key)
+            g = _assignment_to_map(B, A, key)
             return EquivalenceCertificate(
                 f, g, chain_to_identity(A, compose(g, f)), chain_to_identity(B, compose(f, g))
             )
@@ -359,5 +359,5 @@ def homotopy_classes(A: Graph, B: Graph, budget: int | None = None) -> list[list
         search.reach(None)
         # parents is insertion-ordered: the new component is its tail
         component = islice(reversed(search.parents), len(search.parents) - before)
-        classes.append([assignment_to_map(A, B, k) for k in sorted(component)])
+        classes.append([_assignment_to_map(A, B, k) for k in sorted(component)])
     return classes

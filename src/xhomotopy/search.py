@@ -12,6 +12,11 @@ chosen for pruning, candidates are tried in ascending bit (sorted label)
 order, and results are returned sorted by their assignment in
 lexicographic label order, so the output does not depend on the search
 schedule.  Budgets count candidate prefix nodes.
+
+The engine proves every result it yields, so the maps and embeddings
+built from them are stored as proven (``core._proven``) rather than
+re-checked edge by edge.  ``enumerate_copies(collapse=True)`` drops
+duplicate copies on their raw index tuples, before any embedding is built.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .core import (
     Graph,
     GraphMap,
     _bits,
+    _proven,
 )
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
@@ -146,9 +152,10 @@ def enumerate_hom_assignments(
     return [tuple(labels[k] for k in key) for key in found]
 
 
-def assignment_to_map(domain: Graph, codomain: Graph, key: tuple[str, ...]) -> GraphMap:
-    """Rebuild a map from its image tuple over sorted domain vertices."""
-    return GraphMap(domain, codomain, tuple(zip(domain.sorted_vertices, key)))
+def _assignment_to_map(domain: Graph, codomain: Graph, key: tuple[str, ...]) -> GraphMap:
+    """The map with image tuple ``key`` over sorted domain vertices, which
+    the engine has proven to be a hom."""
+    return _proven(GraphMap, domain, codomain, tuple(zip(domain.sorted_vertices, key)))
 
 
 def enumerate_homs(
@@ -159,7 +166,7 @@ def enumerate_homs(
 ) -> list[GraphMap]:
     """All edge-preserving vertex functions, in lexicographic assignment order."""
     return [
-        assignment_to_map(domain, codomain, key)
+        _assignment_to_map(domain, codomain, key)
         for key in enumerate_hom_assignments(domain, codomain, budget, candidates)
     ]
 
@@ -175,7 +182,8 @@ def enumerate_copies(
 
     Embeddings differing only by a pattern automorphism are distinct; with
     ``collapse`` only the first embedding per (vertex set, image edge set)
-    is kept.
+    is kept.  Host bit order is sorted-label order, so collapsing on index
+    tuples keeps the same copies as collapsing on labels.
     """
     if mode not in (MODE_SUBGRAPH, MODE_INDUCED):
         raise BadParameter(f"unknown embedding mode {mode!r}")
@@ -191,20 +199,25 @@ def enumerate_copies(
         pattern, host, order, base, [host.order] * len(order), budget,
         "embedding enumeration", injective=True, induced=induced,
     ))
-    embeddings = [
-        Embedding(pattern, host, tuple(zip(pattern.sorted_vertices, (labels[k] for k in key))), mode)
-        for key in found
-    ]
     if collapse:
+        padj = pattern._compiled[2]
+        edges = [(i, j) for i in range(pattern.order) for j in _bits(padj[i] >> i << i)]
         seen = set()
         kept = []
-        for emb in embeddings:
-            sig = (emb.image_vertex_set, emb.image_edges)
+        for key in found:
+            sig = (
+                sum(1 << k for k in key),
+                frozenset((key[i], key[j]) if key[i] <= key[j] else (key[j], key[i]) for i, j in edges),
+            )
             if sig not in seen:
                 seen.add(sig)
-                kept.append(emb)
-        embeddings = kept
-    return embeddings
+                kept.append(key)
+        found = kept
+    domain_labels = pattern.sorted_vertices
+    return [
+        _proven(Embedding, pattern, host, tuple(zip(domain_labels, (labels[k] for k in key))), mode)
+        for key in found
+    ]
 
 
 def _vertex_invariant(G: Graph, v: str) -> tuple:
@@ -239,4 +252,4 @@ def is_isomorphic(G: Graph, H: Graph) -> GraphMap | None:
     if witness is None:
         return None
     labels = H._compiled[0]
-    return GraphMap(G, H, tuple(zip(domain_labels, (labels[k] for k in witness))))
+    return _proven(GraphMap, G, H, tuple(zip(domain_labels, (labels[k] for k in witness))))

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from xhomotopy import cli
 from xhomotopy.cli import run_cli
 
 DOC = """\
@@ -181,6 +182,99 @@ class TestExitCodes:
         assert code == 0
         blob = json.loads(out)
         assert blob["memberships"] == {"f": "in", "g": "in", "gf": "in"}
+
+
+# `--help` output recorded with COLUMNS=80 before the parser was cached
+MAIN_HELP = """\
+usage: xhomotopy [-h]
+                 {parse,stiff,iso,homs,homotopic,is-weq,equiv,in-w,product,pushout,cylinder,counterexample,check-axiom,verify-paper,export-dot}
+                 ...
+
+Command-line front end. Exit codes: 0 success (and, for decision commands, a
+positive answer), 1 negative answer or failed asserted claim, 2 usage or input
+errors, 3 exhausted search budget (with a partial report where possible).
+
+positional arguments:
+  {parse,stiff,iso,homs,homotopic,is-weq,equiv,in-w,product,pushout,cylinder,counterexample,check-axiom,verify-paper,export-dot}
+    parse               validate and echo a graphs/maps file
+    stiff               fold a graph down to a stiff subgraph
+    iso                 search for an isomorphism
+    homs                enumerate edge-preserving maps
+    homotopic           decide homotopy of two named maps
+    is-weq              decide homotopy equivalence of a map
+    equiv               decide equivalence of two graphs
+    in-w                relaxed-class membership of a map
+    product             categorical product of two graphs
+    pushout             pushout of two maps with shared domain
+    cylinder            mapping cylinder factorization
+    counterexample      cobase-change counterexample
+    check-axiom         two-out-of-three / two-out-of-six instance check
+    verify-paper        run the bundled verification suites
+    export-dot          export graphs as DOT
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+IN_W_HELP = """\
+usage: xhomotopy in-w [-h] [--budget BUDGET] [--seed SEED] [--json] [--quiet]
+                      [--copy-mode {subgraph,induced}]
+                      [--image-mode {image,induced}]
+                      file map
+
+positional arguments:
+  file
+  map
+
+options:
+  -h, --help            show this help message and exit
+  --budget BUDGET       search budget override
+  --seed SEED           seed for randomized policies
+  --json                machine-readable output
+  --quiet               suppress non-essential output
+  --copy-mode {subgraph,induced}
+  --image-mode {image,induced}
+"""
+
+
+class TestParserReuse:
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    @pytest.mark.parametrize("argv, expected", [(["--help"], MAIN_HELP), (["in-w", "--help"], IN_W_HELP)])
+    def test_help_text_is_unchanged(self, argv, expected, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        for _ in range(2):
+            with pytest.raises(SystemExit) as err:
+                run_cli(argv)
+            assert err.value.code == 0
+            assert capsys.readouterr().out == expected
+
+    def test_two_calls_build_the_parser_once(self, doc_file, capsys, monkeypatch):
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        assert run(capsys, "parse", doc_file)[0] == 0
+        assert run(capsys, "iso", doc_file, "path", "path2")[0] == 0
+        assert built == [1]
+
+    def test_budget_environment_is_read_on_every_call(self, doc_file, capsys, monkeypatch):
+        monkeypatch.delenv("XHOMOTOPY_BUDGET", raising=False)
+        assert run(capsys, "homs", doc_file, "triangle", "triangle")[0] == 0
+        monkeypatch.setenv("XHOMOTOPY_BUDGET", "abc")
+        code, _, err = run(capsys, "homs", doc_file, "triangle", "triangle")
+        assert code == 2
+        assert "XHOMOTOPY_BUDGET" in err
+
+    def test_unknown_command_after_a_successful_call(self, doc_file, capsys):
+        assert run(capsys, "parse", doc_file)[0] == 0
+        with pytest.raises(SystemExit) as err:
+            run_cli(["definitely-not-a-command"])
+        assert err.value.code == 2
+        assert run(capsys, "parse", doc_file)[0] == 0
 
 
 def test_console_entry_point_runs():
