@@ -30,7 +30,11 @@ EXIT_BUDGET = 3
 
 
 def _load(path: str) -> Document:
-    return parse_document(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {exc.start} is not {exc.encoding} text") from None
+    return parse_document(text)
 
 
 def _emit(args, payload: dict, text: str) -> None:

@@ -6,10 +6,12 @@ Because the hom set is finite, breadth-first search decides homotopy
 exactly: a length-k chain of one-step moves is the same thing as a
 homotopy through A x I_k.
 
-The searches run over raw image tuples (maps are materialized only for
-returned certificates), and chains are rebuilt from BFS parent links, so
-the returned chain is shortest with ties broken by canonical enumeration
-order.
+The searches run over image index tuples, bit k of the codomain standing
+for its k-th sorted label: a one-step expansion hands per-vertex masks
+straight to the engine's ``_homs``, and maps are materialized only for
+returned results.  Chains are rebuilt from BFS parent links, so the
+returned chain is shortest with ties broken by canonical enumeration
+order, which is label order.
 """
 
 from __future__ import annotations
@@ -31,16 +33,11 @@ from .core import (
     product,
 )
 from .folds import FoldSequence, _retraction, stiff_reduction
-from .search import (
-    _assignment_to_map,
-    enumerate_hom_assignments,
-    enumerate_homs,
-    is_isomorphic,
-)
+from .search import _assignment_to_map, _homs, is_isomorphic
 
 DEFAULT_HOM_BUDGET = 1_000_000
 
-Key = tuple[str, ...]
+Key = tuple[int, ...]  # image indices over sorted domain vertices
 
 
 def _require_signature(f: GraphMap, g: GraphMap) -> None:
@@ -125,30 +122,33 @@ def verify_homotopy(cert: HomotopyCertificate) -> HomotopyCheck:
     return HomotopyCheck(violation is None, violation)
 
 
-def _step_candidates(A: Graph, B: Graph, key: Key) -> dict[str, tuple[str, ...]]:
-    """Per-vertex images allowed for a one-step successor of the map ``key``:
-    the AND of the neighbour masks of the images of a's neighbours."""
-    labels, index, adj, _ = B._compiled
-    images = [adj[index[b]] for b in key]
-    out: dict[str, tuple[str, ...]] = {}
-    for a, nbrs in zip(A.sorted_vertices, A._compiled[2]):
-        allowed = (1 << len(labels)) - 1
+def _step_masks(A: Graph, B: Graph, key: Key) -> list[int]:
+    """Per domain vertex, the codomain mask allowed for a one-step
+    successor of the map ``key``: the AND of the neighbour masks of the
+    images of the vertex's neighbours."""
+    adj = B._compiled[2]
+    masks = []
+    for nbrs in A._compiled[2]:
+        allowed = (1 << B.order) - 1
         for u in _bits(nbrs):
-            allowed &= images[u]
-        out[a] = tuple(labels[k] for k in _bits(allowed))
-    return out
+            allowed &= adj[key[u]]
+        masks.append(allowed)
+    return masks
 
 
 def one_step_neighbors(h: GraphMap, budget: int | None = None) -> list[GraphMap]:
     """All maps one-step homotopic to h, in canonical order (h included)."""
-    candidates = _step_candidates(h.domain, h.codomain, _map_key(h))
-    return enumerate_homs(h.domain, h.codomain, budget=budget, candidates=candidates)
+    A, B = h.domain, h.codomain
+    keys = _homs(A, B, budget, _step_masks(A, B, _map_key(h)))
+    return [_assignment_to_map(A, B, key) for key in keys]
 
 
 class _StepSearch:
     """Resumable breadth-first exploration of one-step components.
 
-    Works on raw image tuples.  ``reach`` expands pending frontier nodes
+    Keys are image index tuples over sorted domain vertices; each
+    expansion enumerates the homs allowed by ``_step_masks`` of the
+    expanded key.  ``reach`` expands pending frontier nodes
     only until the goal is visited, so repeated queries against the same
     component (as in the inverse-candidate loop) share one traversal.
     Parent links give shortest chains; expanding neighbours in canonical
@@ -178,10 +178,7 @@ class _StepSearch:
             return True
         while self.queue:
             key = self.queue.popleft()
-            candidates = _step_candidates(self.A, self.B, key)
-            for nkey in enumerate_hom_assignments(
-                self.A, self.B, budget=self.limit, candidates=candidates
-            ):
+            for nkey in _homs(self.A, self.B, self.limit, _step_masks(self.A, self.B, key)):
                 if nkey in self.parents:
                     continue
                 self._spend()
@@ -208,7 +205,8 @@ class _StepSearch:
 
 
 def _map_key(f: GraphMap) -> Key:
-    return tuple(f(v) for v in f.domain.sorted_vertices)
+    index = f.codomain._compiled[1]
+    return tuple(index[f(v)] for v in f.domain.sorted_vertices)
 
 
 def are_homotopic(f: GraphMap, g: GraphMap, budget: int | None = None) -> HomotopyCertificate | None:
@@ -269,18 +267,19 @@ def is_equivalence(f: GraphMap, budget: int | None = None) -> EquivalenceCertifi
     inverses in lexicographic order, so its first entry is the canonical
     inverse: the least one in Hom(B, A).
 
-    Candidates are tested as raw image tuples, gf and fg composed on those
-    tuples; only the inverse that is returned is built as a map.  The
-    identity component of each distinct graph is explored at most once
-    (cheaper side first, the other lazily), so when A = B both checks share
-    one component.  Chains to the identity come from the component's parent
-    links, reversed, which stays a valid certificate because the one-step
-    relation is symmetric.  Absence is definitive; BudgetExceeded can come
-    only from the search for a positive's certificate.
+    The restriction is a codomain mask per vertex of B.  Candidates are
+    tested as image index tuples, gf and fg composed on those tuples and
+    used directly as the BFS goals; only the inverse that is returned and
+    its chains are built as maps.  The identity component of each distinct
+    graph is explored at most once (cheaper side first, the other lazily),
+    so when A = B both checks share one component.  Chains to the identity
+    come from the component's parent links, reversed, which stays a valid
+    certificate because the one-step relation is symmetric.  Absence is
+    definitive; BudgetExceeded can come only from the search for a
+    positive's certificate.
     """
     A, B = f.domain, f.codomain
-    pos_B = B._compiled[1]
-    f_pos = [pos_B[b] for b in _map_key(f)]  # f over sorted A, as B positions
+    f_pos = _map_key(f)  # f over sorted A, as B indices
     r_A = _retraction(A)
     r_B = r_A if B == A else _retraction(B)
     core_A = [k for k, s in enumerate(r_A) if s == k]
@@ -294,35 +293,33 @@ def is_equivalence(f: GraphMap, budget: int | None = None) -> EquivalenceCertifi
         or _adjacency_count(A._compiled[2], core_A) != _adjacency_count(B._compiled[2], core_B)
     ):
         return None
-    labels_A, labels_B = A._compiled[0], B._compiled[0]
-    fibres: dict[int, list[str]] = {}
+    fibres = [0] * A.order
     for k, s in enumerate(r_A):
-        fibres.setdefault(s, []).append(labels_A[k])
-    candidates = {labels_B[b]: fibres[a] for b, a in phi_inverse.items()}
+        fibres[s] |= 1 << k
+    allowed = [(1 << A.order) - 1] * B.order
+    for b, a in phi_inverse.items():
+        allowed[b] = fibres[a]
 
     searches: dict[Graph, _StepSearch] = {}
 
     def component(G: Graph) -> _StepSearch:
         if G not in searches:
             search = _StepSearch(G, G, budget)
-            search.seed(G.sorted_vertices)
+            search.seed(tuple(range(G.order)))
             searches[G] = search
         return searches[G]
 
-    def chain_to_identity(G: Graph, m: GraphMap) -> HomotopyCertificate:
-        chain = component(G).chain_from_start(_map_key(m))
+    def chain_to_identity(G: Graph, key: Key) -> HomotopyCertificate:
+        chain = component(G).chain_from_start(key)
         chain.reverse()
         return HomotopyCertificate(tuple(chain))
 
-    f_of = f.mapping
     sides = ((A, 0), (B, 1)) if A.order <= B.order else ((B, 1), (A, 0))
-    for key in enumerate_hom_assignments(B, A, budget=budget, candidates=candidates):
-        goals = (tuple(key[k] for k in f_pos), tuple(f_of[a] for a in key))  # gf, fg
+    for key in _homs(B, A, budget, allowed):
+        gf, fg = goals = (tuple(key[k] for k in f_pos), tuple(f_pos[a] for a in key))
         if all(component(G).reach(goals[side]) for G, side in sides):
             g = _assignment_to_map(B, A, key)
-            return EquivalenceCertificate(
-                f, g, chain_to_identity(A, compose(g, f)), chain_to_identity(B, compose(f, g))
-            )
+            return EquivalenceCertificate(f, g, chain_to_identity(A, gf), chain_to_identity(B, fg))
     return None
 
 
@@ -348,7 +345,7 @@ def graphs_equivalent(G: Graph, H: Graph) -> StiffComparison:
 
 def homotopy_classes(A: Graph, B: Graph, budget: int | None = None) -> list[list[GraphMap]]:
     """Partition of the hom set into one-step components, canonically ordered."""
-    keys = enumerate_hom_assignments(A, B, budget=budget)
+    keys = _homs(A, B, budget)
     search = _StepSearch(A, B, budget)
     classes: list[list[GraphMap]] = []
     for key in keys:

@@ -13,6 +13,11 @@ order, and results are returned sorted by their assignment in
 lexicographic label order, so the output does not depend on the search
 schedule.  Budgets count candidate prefix nodes.
 
+Hom enumeration has one entry, ``_homs``: optional codomain masks per
+domain vertex in, sorted image index tuples out.  The homotopy layer runs
+on it directly; ``enumerate_hom_assignments`` and ``enumerate_homs`` label
+its results.
+
 The engine proves every result it yields, so the maps and embeddings
 built from them are stored as proven (``core._proven``) rather than
 re-checked edge by edge.  ``enumerate_copies(collapse=True)`` drops
@@ -21,7 +26,7 @@ duplicate copies on their raw index tuples, before any embedding is built.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .core import (
     MODE_INDUCED,
@@ -117,58 +122,46 @@ def _placement_order(G: Graph) -> list[int]:
     return sorted(range(len(adj)), key=lambda k: (-adj[k].bit_count(), k))
 
 
-def enumerate_hom_assignments(
-    domain: Graph,
-    codomain: Graph,
-    budget: int | None = None,
-    candidates: Mapping[str, object] | None = None,
-) -> list[tuple[str, ...]]:
-    """Image tuples (over sorted domain vertices) of all edge-preserving
-    functions, lexicographically sorted.
+def _homs(
+    domain: Graph, codomain: Graph, budget: int | None, allowed: Sequence[int] | None = None
+) -> list[tuple[int, ...]]:
+    """Image index tuples (over sorted domain vertices) of all
+    edge-preserving functions, lexicographically sorted.
 
-    This is the raw engine behind ``enumerate_homs``; the homotopy search
-    uses it directly to avoid materializing map objects.  ``candidates``
-    optionally restricts the allowed images per domain vertex.  Raises
-    BudgetExceeded when the number of explored candidate prefixes passes
-    the budget.
+    ``allowed[k]``, when given, is the codomain mask domain vertex k may
+    map to.  Raises BudgetExceeded when the number of explored candidate
+    prefixes passes the budget.
     """
-    labels, index, _, loops = codomain._compiled
+    loops = codomain._compiled[3]
     domain_loops = domain._compiled[3]
-    everything = (1 << len(labels)) - 1
-    base = []
-    for k, a in enumerate(domain.sorted_vertices):
-        mask = everything
-        if candidates is not None and a in candidates:
-            mask = 0
-            for b in candidates[a]:  # type: ignore[attr-defined]
-                if b in index:
-                    mask |= 1 << index[b]
-        if domain_loops >> k & 1:
-            mask &= loops
-        base.append(mask)
+    if allowed is None:
+        allowed = [(1 << codomain.order) - 1] * domain.order
+    base = [mask & loops if domain_loops >> k & 1 else mask for k, mask in enumerate(allowed)]
     order = _placement_order(domain)
     charge = [base[v].bit_count() for v in order]
-    found = sorted(_backtrack(domain, codomain, order, base, charge, budget, "hom enumeration"))
-    return [tuple(labels[k] for k in key) for key in found]
+    return sorted(_backtrack(domain, codomain, order, base, charge, budget, "hom enumeration"))
 
 
-def _assignment_to_map(domain: Graph, codomain: Graph, key: tuple[str, ...]) -> GraphMap:
-    """The map with image tuple ``key`` over sorted domain vertices, which
-    the engine has proven to be a hom."""
-    return _proven(GraphMap, domain, codomain, tuple(zip(domain.sorted_vertices, key)))
+def enumerate_hom_assignments(
+    domain: Graph, codomain: Graph, budget: int | None = None
+) -> list[tuple[str, ...]]:
+    """Image label tuples (over sorted domain vertices) of all
+    edge-preserving functions, lexicographically sorted: the labelled view
+    of ``_homs``, which the homotopy layer runs on directly."""
+    labels = codomain._compiled[0]
+    return [tuple(labels[k] for k in key) for key in _homs(domain, codomain, budget)]
 
 
-def enumerate_homs(
-    domain: Graph,
-    codomain: Graph,
-    budget: int | None = None,
-    candidates: Mapping[str, object] | None = None,
-) -> list[GraphMap]:
+def _assignment_to_map(domain: Graph, codomain: Graph, key: tuple[int, ...]) -> GraphMap:
+    """The map with image index tuple ``key`` over sorted domain vertices,
+    which the engine has proven to be a hom."""
+    labels = codomain._compiled[0]
+    return _proven(GraphMap, domain, codomain, tuple(zip(domain.sorted_vertices, (labels[k] for k in key))))
+
+
+def enumerate_homs(domain: Graph, codomain: Graph, budget: int | None = None) -> list[GraphMap]:
     """All edge-preserving vertex functions, in lexicographic assignment order."""
-    return [
-        _assignment_to_map(domain, codomain, key)
-        for key in enumerate_hom_assignments(domain, codomain, budget, candidates)
-    ]
+    return [_assignment_to_map(domain, codomain, key) for key in _homs(domain, codomain, budget)]
 
 
 def enumerate_copies(
@@ -220,10 +213,13 @@ def enumerate_copies(
     ]
 
 
-def _vertex_invariant(G: Graph, v: str) -> tuple:
-    nbrs = G.neighbors(v)
-    profile = tuple(sorted((G.degree(u), G.is_looped(u)) for u in nbrs))
-    return (len(nbrs), G.is_looped(v), profile)
+def _invariants(G: Graph) -> list[tuple]:
+    """Per vertex index: (degree, loop flag, sorted (degree, loop flag)
+    pairs of its neighbours).  A loop counts towards the degree and makes
+    the vertex its own neighbour."""
+    _, _, adj, loops = G._compiled
+    flags = [(mask.bit_count(), bool(loops >> k & 1)) for k, mask in enumerate(adj)]
+    return [(*flags[k], tuple(sorted(flags[u] for u in _bits(mask)))) for k, mask in enumerate(adj)]
 
 
 def is_isomorphic(G: Graph, H: Graph) -> GraphMap | None:
@@ -234,22 +230,18 @@ def is_isomorphic(G: Graph, H: Graph) -> GraphMap | None:
     """
     if G.order != H.order or len(G.edges) != len(H.edges):
         return None
-    domain_labels = G.sorted_vertices
-    inv_g = [_vertex_invariant(G, v) for v in domain_labels]
-    inv_h = [_vertex_invariant(H, v) for v in H.sorted_vertices]
+    inv_g = _invariants(G)
+    inv_h = _invariants(H)
     if sorted(inv_g) != sorted(inv_h):
         return None
     classes: dict[tuple, int] = {}
     for k, inv in enumerate(inv_h):
         classes[inv] = classes.get(inv, 0) | 1 << k
     base = [classes[inv] for inv in inv_g]
-    order = sorted(range(G.order), key=lambda k: (base[k].bit_count(), -G.degree(domain_labels[k]), k))
+    order = sorted(range(G.order), key=lambda k: (base[k].bit_count(), -inv_g[k][0], k))
     # classes fix loop flags; induced + injective + equal order then make
     # the first full assignment an isomorphism
     witness = next(_backtrack(
         G, H, order, base, [0] * G.order, None, "isomorphism search", injective=True, induced=True
     ), None)
-    if witness is None:
-        return None
-    labels = H._compiled[0]
-    return _proven(GraphMap, G, H, tuple(zip(domain_labels, (labels[k] for k in witness))))
+    return None if witness is None else _assignment_to_map(G, H, witness)

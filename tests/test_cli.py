@@ -157,6 +157,14 @@ class TestExitCodes:
     def test_missing_file_is_2(self, capsys):
         assert run(capsys, "parse", "/nonexistent/nope.graphs")[0] == 2
 
+    def test_undecodable_file_is_2(self, tmp_path, capsys):
+        path = tmp_path / "binary.graphs"
+        path.write_bytes(b"graph g\nvertices: a\xff b\n")
+        code, out, err = run(capsys, "parse", str(path))
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     def test_budget_exhaustion_is_3(self, doc_file, capsys):
         code, _, err = run(capsys, "homs", doc_file, "triangle", "triangle", "--budget", "2")
         assert code == 3

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from conftest import seeded_graphs
 from xhomotopy import (
+    Graph,
     GraphError,
     SignatureMismatch,
     compose,
@@ -32,7 +33,7 @@ from xhomotopy.homotopy import (
     one_step_neighbors,
     verify_homotopy,
 )
-from xhomotopy.search import enumerate_homs
+from xhomotopy.search import enumerate_hom_assignments, enumerate_homs
 from xhomotopy.weq import in_W_times
 
 
@@ -377,6 +378,52 @@ def test_homotopy_outputs_match_recorded_digest():
     assert homotopy_dump(range(120)) == HOMOTOPY_DIGEST
 
 
+# SHA-256 of label_order_dump(range(150)): the searches run on index
+# tuples, and index order must stay label order
+LABEL_ORDER_DIGEST = "f674a32bf770e163c6c6e21d999475c3a83cdfa198b0f5366116ffeee32fd23d"
+
+
+def _label_order_graph(rng, n, prefix, start):
+    """A seeded random graph on labels prefix+start ... whose numbers run
+    past 9, so label order differs from number order, in a shuffled
+    vertex tuple."""
+    G = random_graph(rng, n, prefix="t")
+    names = {f"t{k}": f"{prefix}{start + k}" for k in range(n)}
+    verts = [names[v] for v in G.vertices]
+    rng.shuffle(verts)
+    return Graph(tuple(verts), frozenset((names[u], names[v]) for u, v in G.edges))
+
+
+def _label_order_case(i):
+    rng = random.Random(40_000 + i)
+    a = _label_order_graph(rng, rng.randint(0, 4), "a", 7)
+    b = _label_order_graph(rng, rng.randint(1, 4), "b", 8)
+    homs = enumerate_homs(a, b)
+    picks = [rng.choice(homs) for _ in range(2)] if homs else []
+    out = []
+    for budget in (None, 5, 50):
+        out.append(_attempt(lambda: [list(key) for key in enumerate_hom_assignments(a, b, budget)]))
+        out.append(_attempt(lambda: [[list(m.assignment) for m in cls] for cls in homotopy_classes(a, b, budget)]))
+        out.append(_attempt(lambda: _equivalence(is_equivalence(identity_map(b), budget))))
+        if picks:
+            f, g = picks
+            out.append(_attempt(lambda: _chain(are_homotopic(f, g, budget))))
+            out.append(_attempt(lambda: [list(m.assignment) for m in one_step_neighbors(f, budget)]))
+            out.append(_attempt(lambda: _equivalence(is_equivalence(homs[0], budget))))
+    return out
+
+
+def label_order_dump(seeds):
+    digest = hashlib.sha256()
+    for i in seeds:
+        digest.update(json.dumps(_label_order_case(i), sort_keys=True).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_label_order_outputs_match_recorded_digest():
+    assert label_order_dump(range(150)) == LABEL_ORDER_DIGEST
+
+
 def _materializing_is_equivalence(f, budget=None):
     """The inverse search before it ran on image tuples: every candidate is
     built and composed as a validated map, with one component search per
@@ -555,14 +602,14 @@ def test_negative_verdicts_match_the_class_partition_oracle():
 
 def test_figure1_equivalence_enumerates_few_hom_tuples(monkeypatch):
     found = []
-    enumerate_tuples = homotopy.enumerate_hom_assignments
+    enumerate_tuples = homotopy._homs
 
     def counting(*args, **kwargs):
         keys = enumerate_tuples(*args, **kwargs)
         found.append(len(keys))
         return keys
 
-    monkeypatch.setattr(homotopy, "enumerate_hom_assignments", counting)
+    monkeypatch.setattr(homotopy, "_homs", counting)
     assert is_equivalence(build_figure1().g) is not None
     # Hom(B, A) holds 94,493 tuples; only the inverses phi allows are listed
     assert sum(found) < 1000
@@ -572,7 +619,7 @@ def test_figure3_negative_runs_no_search(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("no search expected")
 
-    monkeypatch.setattr(homotopy, "enumerate_hom_assignments", forbidden)
+    monkeypatch.setattr(homotopy, "_homs", forbidden)
     monkeypatch.setattr(homotopy, "_StepSearch", forbidden)
     assert is_equivalence(build_figure3().f) is None
 

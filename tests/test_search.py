@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -8,6 +10,7 @@ import hypothesis.strategies as st
 from conftest import seeded_graphs
 from xhomotopy import (
     BudgetExceeded,
+    Graph,
     is_graph_map,
     make_graph,
     product,
@@ -18,6 +21,7 @@ from xhomotopy.constructions import complete, cycle
 from xhomotopy.folds import stiff_reduction
 from xhomotopy.generators import random_graph
 from xhomotopy.search import (
+    _invariants,
     enumerate_copies,
     enumerate_hom_assignments,
     enumerate_homs,
@@ -92,6 +96,13 @@ class TestEnumerateHoms:
 
     def test_long_path_has_exactly_two_two_colorings(self):
         assert len(enumerate_hom_assignments(long_path(1500), complete(2))) == 2
+
+    def test_candidates_parameter_is_gone(self):
+        k2 = complete(2)
+        with pytest.raises(TypeError):
+            enumerate_homs(k2, k2, candidates={"1": ("1",)})
+        with pytest.raises(TypeError):
+            enumerate_hom_assignments(k2, k2, None, {"1": ("1",)})
 
     @given(seeded_graphs(max_vertices=4), seeded_graphs(max_vertices=4))
     @settings(max_examples=25)
@@ -215,3 +226,54 @@ def test_deterministic_witness_across_runs():
     first = is_isomorphic(g, h)
     second = is_isomorphic(g, h)
     assert first == second
+
+
+# SHA-256 of iso_witness_dump(range(400)): changes to the isomorphism
+# search must keep the first witness it finds
+ISO_WITNESS_DIGEST = "4fcd8933c6ce03c637fff6de2c2cd9fa403795b0a5c0522bca10c2f9c60e644e"
+
+
+def _shuffled(rng, G):
+    verts = list(G.vertices)
+    rng.shuffle(verts)
+    return Graph(tuple(verts), G.edges)
+
+
+def _witness(G, H):
+    iso = is_isomorphic(G, H)
+    return None if iso is None else list(iso.assignment)
+
+
+def iso_witness_dump(seeds):
+    """Witnesses for seeded graphs of 0-9 vertices against a shuffled
+    relabelling onto labels that sort apart from their numbers, both ways,
+    and against a random graph of the same order, both ways."""
+    digest = hashlib.sha256()
+    for i in seeds:
+        rng = random.Random(30_000 + i)
+        n = i % 10
+        G = _shuffled(rng, random_graph(rng, n, prefix="g"))
+        fresh = [f"h{7 * k + 3}" for k in range(n)]
+        rng.shuffle(fresh)
+        H = _shuffled(rng, relabel(G, dict(zip(G.vertices, fresh))))
+        R = _shuffled(rng, random_graph(rng, n, prefix="r"))
+        out = [_witness(G, H), _witness(H, G), _witness(G, R), _witness(R, G)]
+        digest.update(json.dumps(out).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_mask_invariants_match_the_labelled_ones():
+    def labelled(G, v):
+        nbrs = G.neighbors(v)
+        profile = tuple(sorted((G.degree(u), G.is_looped(u)) for u in nbrs))
+        return (len(nbrs), G.is_looped(v), profile)
+
+    rng = random.Random(31)
+    for n in range(12):
+        for _ in range(10):
+            G = _shuffled(rng, random_graph(rng, n, prefix="g"))
+            assert _invariants(G) == [labelled(G, v) for v in G.sorted_vertices]
+
+
+def test_isomorphism_witnesses_match_recorded_digest():
+    assert iso_witness_dump(range(400)) == ISO_WITNESS_DIGEST
