@@ -408,6 +408,10 @@ def run_cli(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except (MemoryError, RecursionError) as exc:
+        # the input outgrew the interpreter before an answer: undecided, not negative
+        print(f"undecided: {type(exc).__name__} before an answer was reached", file=sys.stderr)
+        return EXIT_BUDGET
     except (ParseError, GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

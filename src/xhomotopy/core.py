@@ -79,6 +79,13 @@ def _check_label(label: str) -> None:
         raise BadLabel(f"vertex label may not contain whitespace or '-': {label!r}")
 
 
+def _check_new_label(label: str, taken) -> None:
+    """Raise unless ``label`` is a valid label not among ``taken``."""
+    _check_label(label)
+    if label in taken:
+        raise DuplicateVertex(f"duplicate vertex label {label!r}")
+
+
 def _norm_edge(u: str, v: str) -> Edge:
     return (u, v) if u <= v else (v, u)
 
@@ -100,9 +107,7 @@ class Graph:
         verts = tuple(self.vertices)
         seen: set[str] = set()
         for v in verts:
-            _check_label(v)
-            if v in seen:
-                raise DuplicateVertex(f"duplicate vertex label {v!r}")
+            _check_new_label(v, seen)
             seen.add(v)
         norm = set()
         for edge in self.edges:
@@ -227,12 +232,12 @@ def is_graph_map(domain: Graph, codomain: Graph, assignment: Mapping[str, str]) 
 
 
 def _proven(cls, *values):
-    """A GraphMap or Embedding built from field values the program has
-    already proven valid, without re-checking them.  The values are stored
-    as the validating constructor stores them: the assignment or vertex
-    image sorted by domain label.  Only engine results and maps derived
-    from valid maps come through here; caller-supplied data goes through
-    the public constructor."""
+    """A Graph, GraphMap or Embedding built from field values the program
+    has already proven valid, without re-checking them.  The values are
+    stored as the validating constructor stores them: edges normalized, the
+    assignment or vertex image sorted by domain label.  Only engine results
+    and values derived from valid ones come through here; caller-supplied
+    data goes through the public constructor."""
     obj = object.__new__(cls)
     vars(obj).update(zip(cls.__dataclass_fields__, values))
     return obj
@@ -420,6 +425,8 @@ def interval(n: int) -> Graph:
 
 
 def induced_subgraph(G: Graph, vertices: Iterable[str]) -> Graph:
+    """The subgraph of G on ``vertices``, in G's vertex order.  Its labels
+    and edges come from a valid graph, so it is stored as proven."""
     keep = set()
     for v in vertices:
         if v not in G.vertex_set:
@@ -427,7 +434,7 @@ def induced_subgraph(G: Graph, vertices: Iterable[str]) -> Graph:
         keep.add(v)
     verts = tuple(v for v in G.vertices if v in keep)
     edges = frozenset(e for e in G.edges if e[0] in keep and e[1] in keep)
-    return Graph(verts, edges)
+    return _proven(Graph, verts, edges)
 
 
 def relabel(G: Graph, mapping: Mapping[str, str]) -> Graph:

@@ -8,8 +8,11 @@ Every intermediate graph is the induced subgraph on the vertices not yet
 removed, so the fold kernel works on the compiled graph (``Graph._compiled``)
 and represents an intermediate graph by its survivor mask ``alive``: v'
 is a fold target of v exactly when v' is adjacent to every surviving
-neighbour of v, an AND of neighbour masks.  Labelled graphs and maps are
-built only for results.
+neighbour of v, an AND of neighbour masks (``_targets``).  A fold-down
+keeps one target mask per vertex and, after each removal, recomputes only
+the masks of the removed vertex's surviving neighbours; every other mask
+just loses the removed bit.  Labelled graphs and maps are built only for
+results.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
@@ -58,14 +60,23 @@ class FoldStep:
     target: str
 
 
+def _targets(adj: list[int], alive: int, v: int) -> int:
+    """Mask of the fold targets of v in the induced subgraph on ``alive``:
+    the other survivors adjacent to every surviving neighbour of v."""
+    targets = alive & ~(1 << v)
+    nbrs = adj[v] & alive
+    while nbrs and targets:
+        low = nbrs & -nbrs
+        targets &= adj[low.bit_length() - 1]
+        nbrs ^= low
+    return targets
+
+
 def _fold_pairs(adj: list[int], alive: int, movers: int = -1) -> Iterator[tuple[int, int]]:
     """Foldable index pairs (v, v') of the induced subgraph on ``alive``,
     in sorted-label order; only vertices in ``movers`` are removed."""
     for v in _bits(alive & movers):
-        targets = alive & ~(1 << v)
-        for u in _bits(adj[v] & alive):
-            targets &= adj[u]
-        for w in _bits(targets):
+        for w in _bits(_targets(adj, alive, v)):
             yield v, w
 
 
@@ -181,15 +192,81 @@ def stiff_reduction(
 def _fold_down(G: Graph, rng: random.Random | None = None) -> list[tuple[int, int]]:
     """Index pairs (removed, target) of a fold-down of G to a stiff graph:
     the least foldable pair at each step, or one drawn by ``rng`` from the
-    sorted pair list.  The survivors are the vertices never removed."""
+    sorted pair list.  The survivors are the vertices never removed.
+
+    ``targets[v]`` is the target mask of v under the current survivors and
+    ``movers`` the mask of vertices with a target.  Removing x changes the
+    surviving neighbourhood only of x's surviving neighbours, so only their
+    masks are recomputed.  Any other mask holding bit x belongs to a vertex
+    whose surviving neighbours are all adjacent to x, so to a vertex two
+    hops from x, or to one with no surviving neighbour; those masks lose
+    bit x.  A vertex with no surviving neighbour is isolated in G, because
+    every neighbour of a removed vertex stays adjacent to its target.
+    ``rng.choice`` draws from a lazy view of the sorted pair list,
+    so it sees the same length and the same k-th pair as on the full list.
+    """
     adj = G._compiled[2]
     alive = _everything(G)
+    targets = [_targets(adj, alive, v) for v in range(G.order)]
+    movers = isolated = size = 0
+    for v, t in enumerate(targets):
+        if t:
+            movers |= 1 << v
+            size += t.bit_count()
+        if not adj[v]:
+            isolated |= 1 << v
     chosen: list[tuple[int, int]] = []
-    while pairs := list(islice(_fold_pairs(adj, alive), 1 if rng is None else None)):
-        v, w = pairs[0] if rng is None else rng.choice(pairs)
-        chosen.append((v, w))
-        alive &= ~(1 << v)
+    while movers:
+        if rng is None:
+            x = (movers & -movers).bit_length() - 1
+            pair = x, (targets[x] & -targets[x]).bit_length() - 1
+        else:
+            pair = rng.choice(_PairView(targets, movers, size))
+        chosen.append(pair)
+        x = pair[0]
+        bit = 1 << x
+        alive ^= bit
+        movers ^= bit
+        size -= targets[x].bit_count()
+        targets[x] = 0
+        near = adj[x] & alive
+        two_hop = 0
+        for u in _bits(near):
+            two_hop |= adj[u]
+        for u in _bits((two_hop | isolated) & movers & ~near):
+            if targets[u] & bit:
+                targets[u] ^= bit
+                size -= 1
+                if not targets[u]:
+                    movers ^= 1 << u
+        for u in _bits(near):
+            t = _targets(adj, alive, u)
+            size += t.bit_count() - targets[u].bit_count()
+            targets[u] = t
+            movers = movers | 1 << u if t else movers & ~(1 << u)
     return chosen
+
+
+class _PairView:
+    """The sorted foldable-pair list of ``targets`` over ``movers``, of
+    length ``size``, read lazily: item k walks the movers' target counts."""
+
+    def __init__(self, targets: list[int], movers: int, size: int):
+        self.targets, self.movers, self.size = targets, movers, size
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, k: int) -> tuple[int, int]:
+        for v in _bits(self.movers):
+            t = self.targets[v]
+            count = t.bit_count()
+            if k < count:
+                for _ in range(k):
+                    t &= t - 1
+                return v, (t & -t).bit_length() - 1
+            k -= count
+        raise IndexError(k)
 
 
 def _composite(n: int, pairs: Sequence[tuple[int, int]]) -> list[int]:

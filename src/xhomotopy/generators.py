@@ -3,8 +3,19 @@
 from __future__ import annotations
 
 import random
+from bisect import insort
 
-from .core import Graph, GraphMap, compose, identity_map, make_graph, relabel
+from .core import (
+    Graph,
+    GraphMap,
+    _check_new_label,
+    _norm_edge,
+    _proven,
+    compose,
+    identity_map,
+    make_graph,
+    relabel,
+)
 from .folds import foldable_pairs, apply_fold
 
 
@@ -41,16 +52,26 @@ def random_unfold_map(rng: random.Random, G: Graph, fresh: str) -> GraphMap:
     """Inclusion of G into G plus one new foldable vertex.
 
     The new vertex picks a template vertex u and attaches to a random
-    subset of N(u), so it folds straight back to u.
+    subset of N(u), so it folds straight back to u.  Only the fresh label
+    is checked: the grown graph and the inclusion are stored as proven, and
+    the grown graph inherits G's adjacency, vertex set and sorted labels.
     """
     if not G.vertices:
         bigger = make_graph([fresh], [(fresh, fresh)])
         return GraphMap(G, bigger, ())
-    template = rng.choice(sorted(G.vertices))
+    template = rng.choice(G.sorted_vertices)
     nbrs = sorted(G.neighbors(template))
     attach = [v for v in nbrs if rng.random() < 0.7]
-    bigger = Graph(G.vertices + (fresh,), G.edges | {(fresh, v) for v in attach})
-    return GraphMap(G, bigger, tuple((v, v) for v in G.vertices))
+    _check_new_label(fresh, G.vertex_set)
+    bigger = _proven(Graph, G.vertices + (fresh,), G.edges | {_norm_edge(fresh, v) for v in attach})
+    adjacency = dict(G.adjacency)
+    for v in attach:
+        adjacency[v] |= {fresh}
+    adjacency[fresh] = frozenset(attach)
+    labels = list(G.sorted_vertices)
+    insort(labels, fresh)
+    vars(bigger).update(adjacency=adjacency, vertex_set=G.vertex_set | {fresh}, sorted_vertices=tuple(labels))
+    return _proven(GraphMap, G, bigger, tuple((v, v) for v in G.sorted_vertices))
 
 
 def random_isomorphism(rng: random.Random, G: Graph, prefix: str) -> GraphMap:

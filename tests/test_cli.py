@@ -177,6 +177,16 @@ class TestExitCodes:
         monkeypatch.setenv("XHOMOTOPY_BUDGET", "nonsense")
         assert run(capsys, "homs", doc_file, "triangle", "triangle")[0] == 2
 
+    @pytest.mark.parametrize("error", [MemoryError, RecursionError])
+    def test_resource_exhaustion_is_3(self, doc_file, capsys, monkeypatch, error):
+        def exhaust(*args, **kwargs):
+            raise error("maximum recursion depth exceeded" if error is RecursionError else "")
+
+        monkeypatch.setattr(cli, "is_isomorphic", exhaust)
+        code, out, err = run(capsys, "iso", doc_file, "triangle", "triangle")
+        assert code == 3 and out == ""
+        assert err == f"undecided: {error.__name__} before an answer was reached\n"
+
     def test_check_axiom_composable_chain(self, tmp_path, capsys):
         text = (
             "graph a\nvertices: p\nedges: p-p\n\n"

@@ -1,5 +1,6 @@
-"""The fold kernel against naive label-set folds, at scale, and against a
-recorded digest of every fold-layer output on seeded inputs."""
+"""The fold kernel against naive label-set folds, against a kernel that
+relists every pair at every step, at scale, and against a recorded digest
+of every fold-layer output on seeded inputs."""
 
 import hashlib
 import json
@@ -7,12 +8,14 @@ import random
 import time
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from conftest import seeded_graphs
 from xhomotopy import GraphError, GraphMap, compose, identity_map, induced_subgraph, make_graph
 from xhomotopy.folds import (
     FoldSequence,
+    _fold_down,
     apply_fold,
     confluence_check,
     foldable_pairs,
@@ -64,6 +67,60 @@ def test_long_path_reduces_to_an_edge_quickly():
     assert len(seq.steps) == n - 2
     assert seq.result == make_graph(["p1498", "p1499"], [("p1498", "p1499")])
     assert seq.composite("p0000") in ("p1498", "p1499")
+
+
+def test_long_path_reduces_to_an_edge_quickly_under_random():
+    n = 1500
+    path = make_graph([f"p{i:04d}" for i in range(n)], [(f"p{i:04d}", f"p{i + 1:04d}") for i in range(n - 1)])
+    began = time.perf_counter()
+    seq = stiff_reduction(path, "random", seed=7)
+    assert time.perf_counter() - began < 1
+    assert len(seq.steps) == n - 2
+    (u, v), = seq.result.edges
+    assert seq.result.order == 2 and u != v
+
+
+def relist_fold_down(G, rng=None):
+    """Reference fold-down that relists every foldable pair after each
+    removal and draws from the full sorted list."""
+    n, adj = G.order, G._compiled[2]
+    alive = (1 << n) - 1
+    chosen = []
+    while True:
+        pairs = []
+        for v in range(n):
+            if alive >> v & 1:
+                targets = alive & ~(1 << v)
+                for u in range(n):
+                    if (adj[v] & alive) >> u & 1:
+                        targets &= adj[u]
+                pairs += [(v, w) for w in range(n) if targets >> w & 1]
+        if not pairs:
+            return chosen
+        v, w = pairs[0] if rng is None else rng.choice(pairs)
+        chosen.append((v, w))
+        alive &= ~(1 << v)
+
+
+def grown_graph(seed):
+    """A seeded random graph with loops, grown by unfolds, plus isolated vertices."""
+    rng = random.Random(seed)
+    G = random_graph(rng, rng.randint(0, 7), rng.choice([0.2, 0.4, 0.6]), rng.choice([0.0, 0.3, 0.7]))
+    for k in range(rng.randint(0, 12)):
+        G = random_unfold_map(rng, G, f"u{k}").codomain
+    isolated = tuple(f"z{k}" for k in range(rng.randint(0, 3)))
+    return make_graph(G.vertices + isolated, G.edges)
+
+
+@pytest.mark.parametrize("chunk", range(8))
+def test_target_mask_kernel_matches_the_relisting_kernel(chunk):
+    graphs = [grown_graph(seed) for seed in range(chunk * 50, chunk * 50 + 50)] + [make_graph(())]
+    for i, G in enumerate(graphs):
+        assert _fold_down(G) == relist_fold_down(G)
+        for fold_seed in (i, 10_000 + i):
+            rng, reference = random.Random(fold_seed), random.Random(fold_seed)
+            assert _fold_down(G, rng) == relist_fold_down(G, reference)
+            assert rng.getstate() == reference.getstate()
 
 
 def _graph(G):

@@ -16,17 +16,19 @@ from xhomotopy.core import (
     BudgetExceeded,
     Embedding,
     Graph,
+    GraphError,
     GraphMap,
     NotAGraphMap,
     UnknownVertex,
     compose,
     identity_map,
+    induced_subgraph,
     make_graph,
     relabel,
 )
 from xhomotopy.constructions import complete
 from xhomotopy.folds import FoldSequence, apply_fold, foldable_pairs, stiff_reduction
-from xhomotopy.generators import random_equivalence, random_graph
+from xhomotopy.generators import random_equivalence, random_graph, random_unfold_map
 from xhomotopy.homotopy import are_homotopic, homotopy_classes, is_equivalence, one_step_neighbors
 from xhomotopy.search import enumerate_copies, enumerate_homs, is_isomorphic
 
@@ -144,6 +146,62 @@ def test_fold_maps_and_replay_composites_revalidate(seed):
         replayed = FoldSequence.replay(G, seq.steps)
         assert_revalidates(replayed.composite)
         assert replayed == seq
+
+
+def assert_graph_revalidates(G):
+    """G equals its validated rebuild, and every cached attribute already
+    stored on it equals a fresh computation on that rebuild."""
+    assert type(G) is Graph
+    rebuilt = Graph(G.vertices, G.edges)
+    assert rebuilt == G and hash(rebuilt) == hash(G)
+    assert "_compiled" not in vars(G)
+    for name in ("adjacency", "vertex_set", "sorted_vertices"):
+        if name in vars(G):
+            assert getattr(G, name) == getattr(rebuilt, name)
+    if "adjacency" in vars(G):
+        assert list(G.adjacency) == list(rebuilt.adjacency)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_unfold_chains_revalidate(seed):
+    rng = random.Random(seed)
+    G = shuffled_graph(rng, rng.randint(0, 5), "v")
+    for k in range(rng.randint(1, 12)):
+        incl = random_unfold_map(rng, G, f"u{k}")
+        assert_revalidates(incl)
+        assert incl.domain is G
+        G = incl.codomain
+        assert_graph_revalidates(G)
+
+
+def _error(fn):
+    try:
+        fn()
+    except GraphError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("fresh", ["", "u v", "u-v", "tab\t", "v0", "v3", 7])
+def test_unfold_rejects_a_bad_or_duplicate_label_as_the_constructor_does(fresh):
+    G = random_graph(random.Random(3), 4)
+    expected = _error(lambda: Graph(G.vertices + (fresh,), G.edges))
+    assert expected is not None
+    assert _error(lambda: random_unfold_map(random.Random(1), G, fresh)) == expected
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_induced_subgraphs_revalidate(seed):
+    rng = random.Random(seed)
+    G = shuffled_graph(rng, rng.randint(0, 7), "v")
+    keep = [v for v in G.vertices if rng.random() < 0.5]
+    rng.shuffle(keep)
+    sub = induced_subgraph(G, keep)
+    assert_graph_revalidates(sub)
+    assert sub.vertices == tuple(v for v in G.vertices if v in keep)
+    assert sub == Graph(sub.vertices, frozenset(e for e in G.edges if set(e) <= set(keep)))
+    with pytest.raises(UnknownVertex, match="no vertex 'zz'"):
+        induced_subgraph(G, keep + ["zz"])
 
 
 def label_collapse(copies):
