@@ -2,7 +2,9 @@
 
 Exit codes: 0 success (and, for decision commands, a positive answer),
 1 negative answer or failed asserted claim, 2 usage or input errors,
-3 exhausted search budget (with a partial report where possible).
+3 undecided: an exhausted search budget (with a partial report where
+possible), or an input that ran the interpreter out of memory or recursion
+depth (one "undecided:" line on stderr).
 """
 
 from __future__ import annotations

@@ -11,8 +11,9 @@ is a fold target of v exactly when v' is adjacent to every surviving
 neighbour of v, an AND of neighbour masks (``_targets``).  A fold-down
 keeps one target mask per vertex and, after each removal, recomputes only
 the masks of the removed vertex's surviving neighbours; every other mask
-just loses the removed bit.  Labelled graphs and maps are built only for
-results.
+just loses the removed bit.  A graph's ``first`` fold-down is computed
+once and stored on it; results are built from proven steps by one builder,
+``_sequence``, without checking the steps again.
 """
 
 from __future__ import annotations
@@ -72,10 +73,10 @@ def _targets(adj: list[int], alive: int, v: int) -> int:
     return targets
 
 
-def _fold_pairs(adj: list[int], alive: int, movers: int = -1) -> Iterator[tuple[int, int]]:
+def _fold_pairs(adj: list[int], alive: int) -> Iterator[tuple[int, int]]:
     """Foldable index pairs (v, v') of the induced subgraph on ``alive``,
-    in sorted-label order; only vertices in ``movers`` are removed."""
-    for v in _bits(alive & movers):
+    in sorted-label order."""
+    for v in _bits(alive):
         for w in _bits(_targets(adj, alive, v)):
             yield v, w
 
@@ -118,11 +119,8 @@ def is_stiff(G: Graph) -> bool:
 def apply_fold(G: Graph, removed: str, target: str) -> tuple[Graph, GraphMap]:
     """Remove a foldable vertex; returns (G - v, fold map G -> G - v)."""
     _check_fold(G, _everything(G), removed, target)
-    smaller = induced_subgraph(G, [v for v in G.vertices if v != removed])
-    fold_map = _proven(
-        GraphMap, G, smaller, tuple((v, target if v == removed else v) for v in G.sorted_vertices)
-    )
-    return smaller, fold_map
+    seq = _sequence(G, (FoldStep(removed, target),))
+    return seq.result, seq.composite
 
 
 @dataclass(frozen=True)
@@ -137,23 +135,21 @@ class FoldSequence:
     @classmethod
     def replay(cls, start: Graph, steps: Iterable[FoldStep | tuple[str, str]]) -> "FoldSequence":
         """Validate each step against the survivors of the steps before it,
-        then build the result and the composite once."""
-        labels, index, _, _ = start._compiled
+        then build the result and the composite once from the given steps."""
         alive = _everything(start)
         done: list[FoldStep] = []
         for raw in steps:
-            step = raw if isinstance(raw, FoldStep) else FoldStep(*raw)
             try:
+                step = raw if isinstance(raw, FoldStep) else FoldStep(*raw)
                 alive &= ~(1 << _check_fold(start, alive, step.removed, step.target))
+            except TypeError:
+                raise InvalidSequence(f"step {len(done)} ({raw!r}) is not a (removed, target) pair") from None
             except GraphError as exc:
                 raise InvalidSequence(
                     f"step {len(done)} ({step.removed}->{step.target}) is not a legal fold: {exc}"
                 ) from exc
             done.append(step)
-        result = induced_subgraph(start, [labels[k] for k in _bits(alive)])
-        image = _composite(start.order, [(index[s.removed], index[s.target]) for s in done])
-        composite = _proven(GraphMap, start, result, tuple((v, labels[w]) for v, w in zip(labels, image)))
-        return cls(start, tuple(done), result, composite)
+        return _sequence(start, tuple(done))
 
     def to_json(self) -> dict:
         return {
@@ -184,9 +180,28 @@ def stiff_reduction(
         return seq
     if policy not in ("first", "random"):
         raise BadParameter(f"unknown fold policy {policy!r}")
-    rng = random.Random(seed) if policy == "random" else None
+    pairs = _first_folds(G) if policy == "first" else _fold_down(G, random.Random(seed))
     labels = G._compiled[0]
-    return FoldSequence.replay(G, [FoldStep(labels[v], labels[w]) for v, w in _fold_down(G, rng)])
+    return _sequence(G, tuple(FoldStep(labels[v], labels[w]) for v, w in pairs))
+
+
+def _sequence(start: Graph, steps: tuple[FoldStep, ...]) -> FoldSequence:
+    """The fold sequence of steps already proven to be successive folds of
+    ``start``, built without checking them again."""
+    labels, index, _, _ = start._compiled
+    image = _composite(start.order, [(index[s.removed], index[s.target]) for s in steps])
+    result = induced_subgraph(start, [labels[k] for k, s in enumerate(image) if s == k])
+    composite = _proven(GraphMap, start, result, tuple((v, labels[k]) for v, k in zip(labels, image)))
+    return FoldSequence(start, steps, result, composite)
+
+
+def _first_folds(G: Graph) -> list[tuple[int, int]]:
+    """The ``first`` fold-down of G, computed once per graph and stored on
+    it next to ``_compiled``; every ``first`` core of G is read from here."""
+    pairs = vars(G).get("_first_folds")
+    if pairs is None:
+        pairs = vars(G)["_first_folds"] = _fold_down(G)
+    return pairs
 
 
 def _fold_down(G: Graph, rng: random.Random | None = None) -> list[tuple[int, int]]:
@@ -281,7 +296,7 @@ def _composite(n: int, pairs: Sequence[tuple[int, int]]) -> list[int]:
 
 def _retraction(G: Graph) -> list[int]:
     """The ``first`` stiff reduction's composite at index level."""
-    return _composite(G.order, _fold_down(G))
+    return _composite(G.order, _first_folds(G))
 
 
 @dataclass(frozen=True)
@@ -324,7 +339,7 @@ def is_unfold(incl: GraphMap) -> bool:
     if len(extra) != 1 or not incl.is_induced_inclusion():
         return False
     _, index, adj, _ = incl.codomain._compiled
-    return next(_fold_pairs(adj, _everything(incl.codomain), 1 << index[extra[0]]), None) is not None
+    return _targets(adj, _everything(incl.codomain), index[extra[0]]) != 0
 
 
 @dataclass(frozen=True)

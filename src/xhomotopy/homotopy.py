@@ -24,10 +24,10 @@ from .core import (
     BudgetExceeded,
     Graph,
     GraphMap,
+    NotAGraphMap,
     SignatureMismatch,
     _bits,
     compose,
-    find_map_violation,
     identity_map,
     interval,
     product,
@@ -106,20 +106,16 @@ class HomotopyCheck:
 def verify_homotopy(cert: HomotopyCertificate) -> HomotopyCheck:
     """Re-check a certificate on the materialized product graph.
 
-    Builds A x I_k, assigns F(a, i) = f_i(a), and verifies edge
-    preservation.  The endpoint restrictions F(-, 0) and F(-, k) are the
-    chain's ends by construction.  Never raises; a failure reports the
-    violating product edge.
+    Materializes F(a, i) = f_i(a) on A x I_k through ``as_product_map``.
+    The endpoint restrictions F(-, 0) and F(-, k) are the chain's ends by
+    construction.  Never raises; a failure reports the first violating
+    product edge in sorted order.
     """
-    A = cert.chain[0].domain
-    B = cert.chain[0].codomain
-    k = len(cert.chain) - 1
-    cyl = product(A, interval(k))
-    assignment = {
-        f"({a},{i})": cert.chain[i](a) for a in A.vertices for i in range(k + 1)
-    }
-    violation = find_map_violation(cyl, B, assignment)
-    return HomotopyCheck(violation is None, violation)
+    try:
+        cert.as_product_map()
+    except NotAGraphMap as exc:
+        return HomotopyCheck(False, exc.violation)
+    return HomotopyCheck(True)
 
 
 def _step_masks(A: Graph, B: Graph, key: Key) -> list[int]:
@@ -281,7 +277,7 @@ def is_equivalence(f: GraphMap, budget: int | None = None) -> EquivalenceCertifi
     A, B = f.domain, f.codomain
     f_pos = _map_key(f)  # f over sorted A, as B indices
     r_A = _retraction(A)
-    r_B = r_A if B == A else _retraction(B)
+    r_B = _retraction(B)
     core_A = [k for k, s in enumerate(r_A) if s == k]
     core_B = [k for k, s in enumerate(r_B) if s == k]
     phi_inverse = {r_B[f_pos[a]]: a for a in core_A}

@@ -3,8 +3,10 @@
 Two classes are decided here.  The strict class contains the maps with a
 two-sided homotopy inverse (decided through stiff cores).  The relaxed class
 contains the maps that carry every copy of the domain's stiff subgraph
-isomorphically onto a copy of the codomain's stiff subgraph.  ``unknown``
-is a first-class verdict: a blown budget is reported, never coerced.
+isomorphically onto a copy of the codomain's stiff subgraph; past the
+injectivity and edge-count checks, every copy asks whether the stiff cores
+are isomorphic, so that is tested once.  ``unknown`` is a first-class
+verdict: a blown budget is reported, never coerced.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .core import (
     GraphMap,
     SignatureMismatch,
     _norm_edge,
+    _proven,
     compose,
     induced_subgraph,
 )
@@ -93,35 +96,25 @@ class WMembershipVerdict:
 
     def reverify_witness(self) -> bool:
         """Recompute the witness failure from scratch."""
-        if self.witness is None:
+        if self.witness is None or not self.witness.embedding.check():
             return False
-        emb = self.witness.embedding
-        if not emb.check():
-            return False
-        f = self.map
-        verts = sorted(emb.image_vertex_set)
-        images = [f(v) for v in verts]
+        emb, f = self.witness.embedding, self.map
         if self.witness.failure == "non-injective":
-            return len(set(images)) < len(images)
-        target = stiff_reduction(f.codomain).result
+            return len({f(v) for v in emb.image_vertex_set}) < len(emb.image_vertex_set)
         image_graph = _image_of_copy(f, emb, self.semantics)
-        if image_graph is None:
+        if len(image_graph.edges) != len(emb.image_edges):
             return True
-        return is_isomorphic(image_graph, target) is None
+        return is_isomorphic(image_graph, stiff_reduction(f.codomain).result) is None
 
 
-def _image_of_copy(f: GraphMap, emb: Embedding, semantics: WSemantics) -> Graph | None:
-    """Image of the copy under f, or None when the copy-to-image map is not
-    an isomorphism under the induced reading."""
-    verts = sorted(emb.image_vertex_set)
-    images = sorted({f(v) for v in verts})
+def _image_of_copy(f: GraphMap, emb: Embedding, semantics: WSemantics) -> Graph:
+    """Image of the copy under f: the literal image (f(V), f(E)), or under
+    the induced reading the codomain's subgraph induced on f(V)."""
+    images = sorted({f(v) for v in emb.image_vertex_set})
     if semantics.image_mode == IMAGE_SUBGRAPH:
         edges = frozenset(_norm_edge(f(u), f(v)) for u, v in emb.image_edges)
-        return Graph(tuple(images), edges)
-    induced = induced_subgraph(f.codomain, images)
-    if len(induced.edges) != len(emb.image_edges):
-        return None
-    return induced
+        return _proven(Graph, tuple(images), edges)
+    return induced_subgraph(f.codomain, images)
 
 
 def in_W(
@@ -133,42 +126,35 @@ def in_W(
 
     Copies are enumerated exhaustively (collapsed to distinct vertex-edge
     sets, since the condition only depends on the copy, not the embedding);
-    the first failing copy becomes the witness.
+    the first failing copy becomes the witness.  The cores A_s and B_s are
+    compared once, at the first copy that f maps injectively and edge for edge.
     """
     try:
         dom_red = stiff_reduction(f.domain)
         cod_red = stiff_reduction(f.codomain)
-        target = cod_red.result
+        cores_isomorphic = None
         copies = enumerate_copies(
             dom_red.result, f.domain, mode=semantics.copy_mode, budget=budget, collapse=True
         )
         for count, emb in enumerate(copies, start=1):
-            verts = sorted(emb.image_vertex_set)
-            images = [f(v) for v in verts]
-            if len(set(images)) < len(images):
-                seen: dict[str, str] = {}
-                colliding = None
-                for v, w in zip(verts, images):
-                    if w in seen:
-                        colliding = (seen[w], v)
-                        break
-                    seen[w] = v
-                witness = WWitness(emb, "non-injective", colliding, emb.as_map().image_graph())
-                return WMembershipVerdict(
-                    f, OUT, semantics, witness, count, dom_red, cod_red
-                )
+            first_onto: dict[str, str] = {}  # image -> least copy vertex sent there
+            for v in sorted(emb.image_vertex_set):
+                if first_onto.setdefault(f(v), v) != v:
+                    break
+            if len(first_onto) < len(emb.image_vertex_set):
+                witness = WWitness(emb, "non-injective", (first_onto[f(v)], v), emb.as_map().image_graph())
+                break
             image_graph = _image_of_copy(f, emb, semantics)
-            if image_graph is None or is_isomorphic(image_graph, target) is None:
-                shown = image_graph if image_graph is not None else induced_subgraph(
-                    f.codomain, sorted({f(v) for v in verts})
-                )
-                witness = WWitness(emb, "image-mismatch", None, shown)
-                return WMembershipVerdict(
-                    f, OUT, semantics, witness, count, dom_red, cod_red
-                )
-        return WMembershipVerdict(
-            f, IN, semantics, None, len(copies), dom_red, cod_red
-        )
+            if len(image_graph.edges) == len(emb.image_edges):
+                if cores_isomorphic is None:
+                    cores_isomorphic = is_isomorphic(dom_red.result, cod_red.result) is not None
+                if cores_isomorphic:
+                    continue
+            witness = WWitness(emb, "image-mismatch", None, image_graph)
+            break
+        else:
+            return WMembershipVerdict(f, IN, semantics, None, len(copies), dom_red, cod_red)
+        return WMembershipVerdict(f, OUT, semantics, witness, count, dom_red, cod_red)
     except BudgetExceeded as exc:
         return WMembershipVerdict(f, UNKNOWN, semantics, detail=str(exc))
 

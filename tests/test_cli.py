@@ -210,7 +210,9 @@ usage: xhomotopy [-h]
 
 Command-line front end. Exit codes: 0 success (and, for decision commands, a
 positive answer), 1 negative answer or failed asserted claim, 2 usage or input
-errors, 3 exhausted search budget (with a partial report where possible).
+errors, 3 undecided: an exhausted search budget (with a partial report where
+possible), or an input that ran the interpreter out of memory or recursion
+depth (one "undecided:" line on stderr).
 
 positional arguments:
   {parse,stiff,iso,homs,homotopic,is-weq,equiv,in-w,product,pushout,cylinder,counterexample,check-axiom,verify-paper,export-dot}

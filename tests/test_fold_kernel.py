@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import seeded_graphs
-from xhomotopy import GraphError, GraphMap, compose, identity_map, induced_subgraph, make_graph
+from xhomotopy import GraphError, GraphMap, compose, identity_map, induced_subgraph, make_graph, relabel
+from xhomotopy import folds
 from xhomotopy.folds import (
     FoldSequence,
     _fold_down,
@@ -121,6 +122,60 @@ def test_target_mask_kernel_matches_the_relisting_kernel(chunk):
             rng, reference = random.Random(fold_seed), random.Random(fold_seed)
             assert _fold_down(G, rng) == relist_fold_down(G, reference)
             assert rng.getstate() == reference.getstate()
+
+
+def test_reductions_equal_the_replay_of_their_own_steps():
+    for seed in range(200):
+        G = grown_graph(seed)
+        for policy in ("first", "random"):
+            seq = stiff_reduction(G, policy, seed=seed)
+            replayed = FoldSequence.replay(G, seq.steps)
+            assert replayed.start is seq.start and replayed.steps == seq.steps
+            assert replayed.result.vertices == seq.result.vertices and replayed.result.edges == seq.result.edges
+            assert replayed.composite.assignment == seq.composite.assignment
+            assert replayed.composite.domain is G and replayed.composite.codomain == seq.result
+            assert replayed == seq
+
+
+def test_replay_keeps_the_steps_it_was_given():
+    G = grown_graph(3)
+    steps = stiff_reduction(G).steps
+    assert all(a is b for a, b in zip(FoldSequence.replay(G, steps).steps, steps))
+
+
+def test_first_fold_down_is_stored_once_per_graph(monkeypatch):
+    calls = []
+    real = folds._fold_down
+    monkeypatch.setattr(folds, "_fold_down", lambda G, rng=None: calls.append(G) or real(G, rng))
+    G = grown_graph(5)
+    first = stiff_reduction(G)
+    assert stiff_reduction(G) == first and folds._retraction(G) == [
+        G._compiled[1][first.composite(v)] for v in G.sorted_vertices
+    ]
+    assert calls == [G] and vars(G)["_first_folds"] == real(G)
+
+
+def test_random_policy_neither_reads_nor_fills_the_stored_fold_down():
+    G, twin = grown_graph(7), grown_graph(7)
+    expected = stiff_reduction(twin, "random", seed=1)
+    stiff_reduction(G, "random", seed=1)
+    assert "_first_folds" not in vars(G)
+    vars(G)["_first_folds"] = []  # a stored fold-down the random policy must not read
+    assert stiff_reduction(G, "random", seed=1) == expected
+
+
+def test_derived_graphs_start_without_a_stored_fold_down():
+    G = grown_graph(11)
+    stiff_reduction(G)
+    plain = make_graph(G.vertices, G.edges)
+    derived = [
+        plain,
+        induced_subgraph(G, G.vertices),
+        random_unfold_map(random.Random(0), G, "fresh").codomain,
+        relabel(G, {v: v + "r" for v in G.vertices}),
+    ]
+    assert all("_first_folds" not in vars(H) for H in derived)
+    assert G == plain and hash(G) == hash(plain) and G == derived[1] and hash(G) == hash(derived[1])
 
 
 def _graph(G):

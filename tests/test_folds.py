@@ -110,6 +110,15 @@ class TestStiffReduction:
         with pytest.raises(InvalidSequence):
             stiff_reduction(fig.B, "given", steps=[("x", "a")])
 
+    @pytest.mark.parametrize("bad", [("a",), None, ("a", "x", "y")])
+    def test_malformed_step_is_an_invalid_sequence_naming_its_index(self, bad):
+        fig = build_figure1()
+        steps = [("a", "x"), bad]
+        with pytest.raises(InvalidSequence, match=r"^step 1 \("):
+            FoldSequence.replay(fig.B, steps)
+        with pytest.raises(InvalidSequence, match=r"^step 1 \("):
+            stiff_reduction(fig.B, "given", steps=steps)
+
     def test_given_sequence_must_reach_stiff(self):
         fig = build_figure3()
         with pytest.raises(InvalidSequence):

@@ -149,7 +149,8 @@ class TestVerifyHomotopy:
         swap = graph_map(k2, k2, {"u": "v", "v": "u"})
         bad = HomotopyCertificate((straight, swap))
         check = verify_homotopy(bad)
-        assert not check.ok and check.violation is not None
+        # the first product edge, in sorted order, that is not carried to an edge
+        assert not check.ok and check.violation == ("(u,0)", "(v,1)")
 
     def test_product_map_materializes(self):
         fig = build_figure2()

@@ -2,19 +2,24 @@ import random
 
 import pytest
 
-from xhomotopy import GraphMap, SignatureMismatch, identity_map, make_graph
+from xhomotopy import Graph, GraphMap, SignatureMismatch, folds, identity_map, make_graph, weq
 from xhomotopy.claims import build_figure1, build_figure3
 from xhomotopy.folds import apply_fold
+from xhomotopy.core import _norm_edge
 from xhomotopy.generators import random_equivalence, random_graph
+from xhomotopy.homotopy import is_equivalence
 from xhomotopy.search import is_isomorphic
 from xhomotopy.weq import (
     COPY_INDUCED,
+    COPY_SUBGRAPH,
     IMAGE_INDUCED,
     IMAGE_SUBGRAPH,
     IN,
     OUT,
     UNKNOWN,
+    WMembershipVerdict,
     WSemantics,
+    WWitness,
     check_two_of_six,
     check_two_of_three,
     in_W,
@@ -243,3 +248,159 @@ def test_out_witnesses_always_reverify():
             assert verdict.reverify_witness()
             seen_out += 1
     assert seen_out == 10
+
+
+# ------------------------------------------------- one core isomorphism test
+
+
+def per_copy_in_W(f, semantics):
+    """Relaxed membership as decided copy by copy: reductions replayed
+    through the validating path, and each copy's image rebuilt and tested
+    for isomorphism against the codomain's stiff graph.  Also returns the
+    number of copies that reached the isomorphism test."""
+    from xhomotopy.core import induced_subgraph
+    from xhomotopy.folds import FoldSequence, _fold_down
+    from xhomotopy.search import enumerate_copies
+
+    def reduction(G):
+        labels = G._compiled[0]
+        return FoldSequence.replay(G, [(labels[v], labels[w]) for v, w in _fold_down(G)])
+
+    def image_of_copy(emb):
+        images = sorted({f(v) for v in emb.image_vertex_set})
+        if semantics.image_mode == IMAGE_SUBGRAPH:
+            return Graph(tuple(images), frozenset(_norm_edge(f(u), f(v)) for u, v in emb.image_edges))
+        induced = induced_subgraph(f.codomain, images)
+        return induced if len(induced.edges) == len(emb.image_edges) else None
+
+    dom_red, cod_red = reduction(f.domain), reduction(f.codomain)
+    copies = enumerate_copies(dom_red.result, f.domain, mode=semantics.copy_mode, collapse=True)
+    tested = 0
+    for count, emb in enumerate(copies, start=1):
+        verts = sorted(emb.image_vertex_set)
+        images = [f(v) for v in verts]
+        if len(set(images)) < len(images):
+            seen = {}
+            for v, w in zip(verts, images):
+                if w in seen:
+                    colliding = (seen[w], v)
+                    break
+                seen[w] = v
+            witness = WWitness(emb, "non-injective", colliding, emb.as_map().image_graph())
+            return WMembershipVerdict(f, OUT, semantics, witness, count, dom_red, cod_red), tested
+        image_graph = image_of_copy(emb)
+        tested += image_graph is not None
+        if image_graph is None or is_isomorphic(image_graph, cod_red.result) is None:
+            shown = image_graph or induced_subgraph(f.codomain, sorted(set(images)))
+            witness = WWitness(emb, "image-mismatch", None, shown)
+            return WMembershipVerdict(f, OUT, semantics, witness, count, dom_red, cod_red), tested
+    return WMembershipVerdict(f, IN, semantics, None, len(copies), dom_red, cod_red), tested
+
+
+def random_hom(rng, A, B):
+    """A random hom A -> B by backtracking over shuffled images; B must
+    carry a loop, so one always exists."""
+    order = list(A.sorted_vertices)
+    chosen = {}
+
+    def extend(k):
+        if k == len(order):
+            return True
+        v = order[k]
+        for w in rng.sample(B.sorted_vertices, B.order):
+            if all(u not in chosen or B.has_edge(w, chosen[u]) for u in A.neighbors(v) | {v}):
+                if v not in A.neighbors(v) or B.has_edge(w, w):
+                    chosen[v] = w
+                    if extend(k + 1):
+                        return True
+                    del chosen[v]
+        return False
+
+    assert extend(0)
+    return GraphMap(A, B, tuple(chosen.items()))
+
+
+def differential_maps(seed):
+    """Seeded maps of three kinds: random homs into looped codomains,
+    random equivalence composites, and maps out of the empty graph."""
+    rng = random.Random(seed)
+    kind = seed % 5
+    if kind == 4:
+        return GraphMap(make_graph(()), random_graph(rng, rng.randint(0, 4), prefix="b"), ())
+    if kind == 3:
+        return random_equivalence(rng, random_graph(rng, rng.randint(1, 4)), 3, "e")
+    A = random_graph(rng, rng.randint(1, 6), prefix="a")
+    B = random_graph(rng, rng.randint(1, 5), rng.choice([0.3, 0.6]), prefix="b")
+    looped = rng.choice(B.sorted_vertices)
+    B = make_graph(B.vertices, B.edge_list() + [(looped, looped)])
+    return random_hom(rng, A, B)
+
+
+def verdict_record(v):
+    w = v.witness
+    return (
+        v.verdict,
+        v.copies_checked,
+        None if w is None else (w.embedding, w.failure, w.colliding, w.image_graph.vertices, w.image_graph.edges),
+        v.domain_reduction.to_json(),
+        v.codomain_reduction.to_json(),
+        v.domain_reduction.composite,
+        v.codomain_reduction.composite,
+        v.reverify_witness(),
+    )
+
+
+ALL_SEMANTICS = [WSemantics(c, i) for c in (COPY_SUBGRAPH, COPY_INDUCED) for i in (IMAGE_SUBGRAPH, IMAGE_INDUCED)]
+
+
+@pytest.mark.parametrize("chunk", range(5))
+def test_in_W_matches_the_per_copy_isomorphism_reference(chunk, monkeypatch):
+    calls = []
+    monkeypatch.setattr(weq, "is_isomorphic", lambda G, H: calls.append(1) or is_isomorphic(G, H))
+    outcomes = set()
+    for seed in range(chunk * 250, chunk * 250 + 250):
+        f = differential_maps(seed)
+        for semantics in ALL_SEMANTICS:
+            calls.clear()
+            got = in_W(f, semantics)
+            tested = len(calls)
+            expected, reached = per_copy_in_W(f, semantics)
+            assert verdict_record(got) == verdict_record(expected), (seed, semantics)
+            # one core test, at the first copy that reaches it, and none
+            # when no copy gets that far
+            assert tested == min(reached, 1), (seed, semantics)
+            outcomes.add((got.verdict, got.witness and got.witness.failure))
+    assert outcomes == {(IN, None), (OUT, "non-injective"), (OUT, "image-mismatch")}
+
+
+def test_first_failing_copy_non_injective_spends_no_isomorphism_test(monkeypatch):
+    calls = []
+    monkeypatch.setattr(weq, "is_isomorphic", lambda G, H: calls.append(1) or is_isomorphic(G, H))
+    two_points = make_graph("xy", ["xx", "yy"])
+    point = make_graph("p", ["pp"])
+    verdict = in_W(GraphMap(two_points, point, (("x", "p"), ("y", "p"))))
+    assert verdict.witness.failure == "non-injective" and verdict.copies_checked == 1
+    assert calls == []
+
+
+def test_one_fold_down_per_graph_across_membership_calls(monkeypatch):
+    counted = {}
+    real = folds._fold_down
+
+    def counting(G, rng=None):
+        counted[id(G)] = counted.get(id(G), 0) + 1
+        return real(G, rng)
+
+    monkeypatch.setattr(folds, "_fold_down", counting)
+    rng = random.Random(41)
+    kept = []
+    for seed in range(20):
+        f = differential_maps(seed)
+        g = random_hom(rng, f.codomain, make_graph(["c0", "c1"], [("c0", "c0"), ("c0", "c1")]))
+        kept.append((f, g))
+        for semantics in ALL_SEMANTICS:
+            in_W(f, semantics).reverify_witness()
+        is_equivalence(identity_map(f.domain))
+        is_equivalence(identity_map(f.codomain))
+        check_two_of_three(f, g)
+    assert counted and set(counted.values()) == {1}
