@@ -88,12 +88,14 @@ def _cmd_homs(args) -> int:
     doc = _load(args.file)
     domain = doc.graph(args.domain)
     keys = enumerate_hom_assignments(domain, doc.graph(args.codomain), budget=args.budget)
-    maps = [dict(zip(domain.sorted_vertices, key)) for key in keys]
-    payload = {"count": len(maps), "maps": maps}
-    lines = [f"{len(maps)} maps"]
+    order = domain.sorted_vertices
+    if args.json:
+        _emit(args, {"count": len(keys), "maps": [dict(zip(order, key)) for key in keys]}, "")
+        return EXIT_OK
+    lines = [f"{len(keys)} maps"]
     if not args.count_only:
-        lines.extend(" ".join(f"{v}->{w}" for v, w in m.items()) for m in maps)
-    _emit(args, payload, "\n".join(lines))
+        lines.extend(" ".join(f"{v}->{w}" for v, w in zip(order, key)) for key in keys)
+    _emit(args, {}, "\n".join(lines))
     return EXIT_OK
 
 

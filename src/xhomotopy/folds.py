@@ -140,6 +140,8 @@ class FoldSequence:
         done: list[FoldStep] = []
         for raw in steps:
             try:
+                if isinstance(raw, str):  # FoldStep(*"ax") would read it as a pair
+                    raise TypeError(raw)
                 step = raw if isinstance(raw, FoldStep) else FoldStep(*raw)
                 alive &= ~(1 << _check_fold(start, alive, step.removed, step.target))
             except TypeError:
@@ -217,8 +219,9 @@ def _fold_down(G: Graph, rng: random.Random | None = None) -> list[tuple[int, in
     hops from x, or to one with no surviving neighbour; those masks lose
     bit x.  A vertex with no surviving neighbour is isolated in G, because
     every neighbour of a removed vertex stays adjacent to its target.
-    ``rng.choice`` draws from a lazy view of the sorted pair list,
-    so it sees the same length and the same k-th pair as on the full list.
+    A random draw takes k = ``rng.randrange(size)`` and reads the k-th pair
+    of the sorted pair list without building it; ``rng.choice`` on the full
+    list makes the same draw and picks the same pair.
     """
     adj = G._compiled[2]
     alive = _everything(G)
@@ -236,7 +239,7 @@ def _fold_down(G: Graph, rng: random.Random | None = None) -> list[tuple[int, in
             x = (movers & -movers).bit_length() - 1
             pair = x, (targets[x] & -targets[x]).bit_length() - 1
         else:
-            pair = rng.choice(_PairView(targets, movers, size))
+            pair = _kth_pair(targets, movers, rng.randrange(size))
         chosen.append(pair)
         x = pair[0]
         bit = 1 << x
@@ -262,26 +265,18 @@ def _fold_down(G: Graph, rng: random.Random | None = None) -> list[tuple[int, in
     return chosen
 
 
-class _PairView:
-    """The sorted foldable-pair list of ``targets`` over ``movers``, of
-    length ``size``, read lazily: item k walks the movers' target counts."""
-
-    def __init__(self, targets: list[int], movers: int, size: int):
-        self.targets, self.movers, self.size = targets, movers, size
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, k: int) -> tuple[int, int]:
-        for v in _bits(self.movers):
-            t = self.targets[v]
-            count = t.bit_count()
-            if k < count:
-                for _ in range(k):
-                    t &= t - 1
-                return v, (t & -t).bit_length() - 1
-            k -= count
-        raise IndexError(k)
+def _kth_pair(targets: list[int], movers: int, k: int) -> tuple[int, int]:
+    """Item k of the sorted foldable-pair list of ``targets`` over
+    ``movers``, read by walking the movers' target counts."""
+    for v in _bits(movers):
+        t = targets[v]
+        count = t.bit_count()
+        if k < count:
+            for _ in range(k):
+                t &= t - 1
+            return v, (t & -t).bit_length() - 1
+        k -= count
+    raise IndexError(k)
 
 
 def _composite(n: int, pairs: Sequence[tuple[int, int]]) -> list[int]:

@@ -9,9 +9,11 @@ homotopy through A x I_k.
 The searches run over image index tuples, bit k of the codomain standing
 for its k-th sorted label: a one-step expansion hands per-vertex masks
 straight to the engine's ``_homs``, and maps are materialized only for
-returned results.  Chains are rebuilt from BFS parent links, so the
-returned chain is shortest with ties broken by canonical enumeration
-order, which is label order.
+returned results.  One breadth-first function, ``_explore``, serves
+``are_homotopic``, ``is_equivalence`` and ``homotopy_classes``: it adds a
+one-step component to parent links that the caller owns, and chains are
+read off those links, so the returned chain is shortest with ties broken
+by canonical enumeration order, which is label order.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .search import _assignment_to_map, _homs, is_isomorphic
 DEFAULT_HOM_BUDGET = 1_000_000
 
 Key = tuple[int, ...]  # image indices over sorted domain vertices
+Parents = dict[Key, Key | None]  # BFS parent links, None at a start
 
 
 def _require_signature(f: GraphMap, g: GraphMap) -> None:
@@ -139,65 +142,38 @@ def one_step_neighbors(h: GraphMap, budget: int | None = None) -> list[GraphMap]
     return [_assignment_to_map(A, B, key) for key in keys]
 
 
-class _StepSearch:
-    """Resumable breadth-first exploration of one-step components.
+def _explore(A: Graph, B: Graph, parents: Parents, start: Key, goals: tuple[Key, ...], limit: int) -> None:
+    """Add the one-step component of ``start`` to ``parents``, breadth-first.
 
-    Keys are image index tuples over sorted domain vertices; each
-    expansion enumerates the homs allowed by ``_step_masks`` of the
-    expanded key.  ``reach`` expands pending frontier nodes
-    only until the goal is visited, so repeated queries against the same
-    component (as in the inverse-candidate loop) share one traversal.
-    Parent links give shortest chains; expanding neighbours in canonical
-    enumeration order makes the first-found parent deterministic.
+    ``parents`` links each visited key to the key it was reached from
+    (``start`` to None).  The caller owns it, so one dict can hold several
+    components and its size is the visit count: a visit past ``limit``
+    raises BudgetExceeded.  The search stops after the expansion that
+    leaves every goal visited; with no goals it exhausts the component.
+    Expanding neighbours in canonical enumeration order makes the first
+    parent found, and so every chain, shortest and deterministic.
     """
+    parents[start] = None
+    queue = deque([start])
+    while len(parents) <= limit:
+        if not queue or (goals and all(goal in parents for goal in goals)):
+            return
+        key = queue.popleft()
+        for nkey in _homs(A, B, limit, _step_masks(A, B, key)):
+            if nkey not in parents:
+                parents[nkey] = key
+                queue.append(nkey)
+    raise BudgetExceeded(limit, "homotopy search")
 
-    def __init__(self, A: Graph, B: Graph, budget: int | None):
-        self.A = A
-        self.B = B
-        self.limit = DEFAULT_HOM_BUDGET if budget is None else budget
-        self.parents: dict[Key, Key | None] = {}
-        self.queue: deque[Key] = deque()
-        self.visited = 0
 
-    def seed(self, start: Key) -> None:
-        if start not in self.parents:
-            self._spend()
-            self.parents[start] = None
-            self.queue.append(start)
-
-    def reach(self, goal: Key | None = None) -> bool:
-        """Expand until ``goal`` is visited (True) or the frontier empties.
-
-        With ``goal=None`` the pending components are exhausted.
-        """
-        if goal is not None and goal in self.parents:
-            return True
-        while self.queue:
-            key = self.queue.popleft()
-            for nkey in _homs(self.A, self.B, self.limit, _step_masks(self.A, self.B, key)):
-                if nkey in self.parents:
-                    continue
-                self._spend()
-                self.parents[nkey] = key
-                self.queue.append(nkey)
-            if goal is not None and goal in self.parents:
-                return True
-        return goal is not None and goal in self.parents
-
-    def _spend(self) -> None:
-        self.visited += 1
-        if self.visited > self.limit:
-            raise BudgetExceeded(self.limit, "homotopy search")
-
-    def chain_from_start(self, key: Key) -> list[GraphMap]:
-        """Maps along the parent links, ordered start ... key."""
-        keys: list[Key] = []
-        cursor: Key | None = key
-        while cursor is not None:
-            keys.append(cursor)
-            cursor = self.parents[cursor]
-        keys.reverse()
-        return [_assignment_to_map(self.A, self.B, k) for k in keys]
+def _chain(A: Graph, B: Graph, parents: Parents, key: Key) -> tuple[GraphMap, ...]:
+    """Maps along the parent links, ordered ``key`` ... start."""
+    chain = []
+    cursor: Key | None = key
+    while cursor is not None:
+        chain.append(_assignment_to_map(A, B, cursor))
+        cursor = parents[cursor]
+    return tuple(chain)
 
 
 def _map_key(f: GraphMap) -> Key:
@@ -212,11 +188,13 @@ def are_homotopic(f: GraphMap, g: GraphMap, budget: int | None = None) -> Homoto
     component of f decides the question.
     """
     _require_signature(f, g)
-    search = _StepSearch(f.domain, f.codomain, budget)
-    search.seed(_map_key(f))
-    if not search.reach(_map_key(g)):
+    A, B = f.domain, f.codomain
+    parents: Parents = {}
+    goal = _map_key(g)
+    _explore(A, B, parents, _map_key(f), (goal,), DEFAULT_HOM_BUDGET if budget is None else budget)
+    if goal not in parents:
         return None
-    return HomotopyCertificate(tuple(search.chain_from_start(_map_key(g))))
+    return HomotopyCertificate(_chain(A, B, parents, goal)[::-1])
 
 
 @dataclass(frozen=True)
@@ -263,16 +241,16 @@ def is_equivalence(f: GraphMap, budget: int | None = None) -> EquivalenceCertifi
     inverses in lexicographic order, so its first entry is the canonical
     inverse: the least one in Hom(B, A).
 
-    The restriction is a codomain mask per vertex of B.  Candidates are
-    tested as image index tuples, gf and fg composed on those tuples and
-    used directly as the BFS goals; only the inverse that is returned and
-    its chains are built as maps.  The identity component of each distinct
-    graph is explored at most once (cheaper side first, the other lazily),
-    so when A = B both checks share one component.  Chains to the identity
-    come from the component's parent links, reversed, which stays a valid
-    certificate because the one-step relation is symmetric.  Absence is
-    definitive; BudgetExceeded can come only from the search for a
-    positive's certificate.
+    The restriction is a codomain mask per vertex of B, and the inverse is
+    the first image index tuple it admits: every admitted hom is an
+    inverse, so no candidate is tested.  gf and fg are composed on index
+    tuples and are the goals of one breadth-first search from the identity
+    of each distinct graph, the smaller first; when A = B a single search
+    holds both goals.  Only the inverse and its chains are built as maps.
+    Each chain is read off the parent links from its goal back to the
+    identity, a valid certificate because the one-step relation is
+    symmetric.  Absence is definitive; BudgetExceeded can come only from
+    the search for a positive's certificate.
     """
     A, B = f.domain, f.codomain
     f_pos = _map_key(f)  # f over sorted A, as B indices
@@ -296,27 +274,19 @@ def is_equivalence(f: GraphMap, budget: int | None = None) -> EquivalenceCertifi
     for b, a in phi_inverse.items():
         allowed[b] = fibres[a]
 
-    searches: dict[Graph, _StepSearch] = {}
-
-    def component(G: Graph) -> _StepSearch:
-        if G not in searches:
-            search = _StepSearch(G, G, budget)
-            search.seed(tuple(range(G.order)))
-            searches[G] = search
-        return searches[G]
-
-    def chain_to_identity(G: Graph, key: Key) -> HomotopyCertificate:
-        chain = component(G).chain_from_start(key)
-        chain.reverse()
-        return HomotopyCertificate(tuple(chain))
-
-    sides = ((A, 0), (B, 1)) if A.order <= B.order else ((B, 1), (A, 0))
-    for key in _homs(B, A, budget, allowed):
-        gf, fg = goals = (tuple(key[k] for k in f_pos), tuple(f_pos[a] for a in key))
-        if all(component(G).reach(goals[side]) for G, side in sides):
-            g = _assignment_to_map(B, A, key)
-            return EquivalenceCertificate(f, g, chain_to_identity(A, gf), chain_to_identity(B, fg))
-    return None
+    key = _homs(B, A, budget, allowed)[0]
+    gf, fg = tuple(key[k] for k in f_pos), tuple(f_pos[a] for a in key)
+    goals = {A: (gf, fg)} if A == B else {A: (gf,), B: (fg,)}
+    parents: dict[Graph, Parents] = {G: {} for G in goals}
+    limit = DEFAULT_HOM_BUDGET if budget is None else budget
+    for G in sorted(goals, key=lambda G: G.order):
+        _explore(G, G, parents[G], tuple(range(G.order)), goals[G], limit)
+    return EquivalenceCertificate(
+        f,
+        _assignment_to_map(B, A, key),
+        HomotopyCertificate(_chain(A, A, parents[A], gf)),
+        HomotopyCertificate(_chain(B, B, parents[B], fg)),
+    )
 
 
 @dataclass(frozen=True)
@@ -342,15 +312,14 @@ def graphs_equivalent(G: Graph, H: Graph) -> StiffComparison:
 def homotopy_classes(A: Graph, B: Graph, budget: int | None = None) -> list[list[GraphMap]]:
     """Partition of the hom set into one-step components, canonically ordered."""
     keys = _homs(A, B, budget)
-    search = _StepSearch(A, B, budget)
+    parents: Parents = {}
     classes: list[list[GraphMap]] = []
     for key in keys:
-        if key in search.parents:
+        if key in parents:
             continue
-        before = len(search.parents)
-        search.seed(key)
-        search.reach(None)
+        before = len(parents)
+        _explore(A, B, parents, key, (), DEFAULT_HOM_BUDGET if budget is None else budget)
         # parents is insertion-ordered: the new component is its tail
-        component = islice(reversed(search.parents), len(search.parents) - before)
+        component = islice(reversed(parents), len(parents) - before)
         classes.append([_assignment_to_map(A, B, k) for k in sorted(component)])
     return classes

@@ -1,10 +1,19 @@
+import os
 import random
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, settings
 
 from xhomotopy.generators import random_graph
+
+# pyproject's pytest ``pythonpath`` puts src/ on this process's path only;
+# child interpreters (the console entry point, the determinism runs) get
+# it through the environment, so they too run this checkout
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])
+)
 
 settings.register_profile(
     "default",

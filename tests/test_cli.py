@@ -75,6 +75,23 @@ class TestBasicCommands:
         code, out, _ = run(capsys, "homs", doc_file, "edge", "triangle", "--count-only")
         assert code == 0 and out.startswith("6 maps")
 
+    def test_homs_count_only_reads_only_the_count(self, doc_file, capsys, monkeypatch):
+        class Unlisted(list):
+            def __iter__(self):
+                raise AssertionError("no per-hom output expected")
+
+        monkeypatch.setattr(cli, "enumerate_hom_assignments", lambda *args, **kwargs: Unlisted([("a", "b")] * 6))
+        code, out, _ = run(capsys, "homs", doc_file, "edge", "triangle", "--count-only")
+        assert code == 0 and out == "6 maps\n"
+
+    def test_homs_json_lists_the_maps_with_or_without_count_only(self, doc_file, capsys):
+        full = run(capsys, "homs", doc_file, "path", "edge", "--json")
+        assert run(capsys, "homs", doc_file, "path", "edge", "--json", "--count-only") == full
+        assert json.loads(full[1]) == {
+            "count": 2,
+            "maps": [{"1": "1", "2": "2", "3": "1"}, {"1": "2", "2": "1", "3": "2"}],
+        }
+
     def test_homotopic(self, doc_file, capsys):
         code, out, _ = run(capsys, "homotopic", doc_file, "coloring", "coloring", "--json")
         assert code == 0

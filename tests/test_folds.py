@@ -119,6 +119,14 @@ class TestStiffReduction:
         with pytest.raises(InvalidSequence, match=r"^step 1 \("):
             stiff_reduction(fig.B, "given", steps=steps)
 
+    def test_string_step_is_not_read_as_a_pair_by_replay(self):
+        with pytest.raises(InvalidSequence, match=r"^step 0 \('ax'\) is not a \(removed, target\) pair"):
+            FoldSequence.replay(build_figure1().B, ["ax"])
+
+    def test_string_steps_are_not_read_as_pairs_by_the_given_policy(self):
+        with pytest.raises(InvalidSequence, match=r"^step 0 \('ax'\) is not a \(removed, target\) pair"):
+            stiff_reduction(build_figure1().B, "given", steps=["ax", "dx", "cy", "ey", "bz"])
+
     def test_given_sequence_must_reach_stiff(self):
         fig = build_figure3()
         with pytest.raises(InvalidSequence):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from conftest import seeded_graphs
 from xhomotopy import (
+    BudgetExceeded,
     Graph,
     GraphError,
     SignatureMismatch,
@@ -425,36 +426,67 @@ def test_label_order_outputs_match_recorded_digest():
     assert label_order_dump(range(150)) == LABEL_ORDER_DIGEST
 
 
+# SHA-256 of fine_budget_dump(range(120)): where each search stops at budgets
+# between and beyond HOMOTOPY_DIGEST's, exception text included
+FINE_BUDGET_DIGEST = "e60c8b733ea3515d81bf6c6d0050c2412187bc3e1fee05cea0d4b120ac8d5eaa"
+
+
+def _fine_budget_case(i):
+    a, b, picks, equiv = _homotopy_inputs(i)
+    maps = [equiv, identity_map(a), identity_map(b), *picks[:1]]
+    point, path = make_graph(["p"], [("p", "p")]), interval(i % 20)
+    ends = [graph_map(point, path, {"p": end}) for end in (0, i % 20)]
+    out = []
+    for budget in (0, 1, 3, 12, 200, 2000):
+        out.append(_attempt(lambda: [[list(m.assignment) for m in cls] for cls in homotopy_classes(a, b, budget)]))
+        for f in maps:
+            out.append(_attempt(lambda: _equivalence(is_equivalence(f, budget))))
+        if picks:
+            f, g = picks
+            out.append(_attempt(lambda: _chain(are_homotopic(f, g, budget))))
+        # the two ends of a looped path, from a looped point: each expansion
+        # is cheap, so the visit count, not the hom search, runs out
+        out.append(_attempt(lambda: _chain(are_homotopic(*ends, budget))))
+    return out
+
+
+def fine_budget_dump(seeds):
+    digest = hashlib.sha256()
+    for i in seeds:
+        digest.update(json.dumps(_fine_budget_case(i), sort_keys=True).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_fine_budget_outputs_match_recorded_digest():
+    assert fine_budget_dump(range(120)) == FINE_BUDGET_DIGEST
+
+
+def test_fine_budget_cases_reach_every_kind_of_stop():
+    kinds = set()
+    for i in range(120):
+        for entry in _fine_budget_case(i):
+            kinds.add(entry[2].rsplit(" of ", 1)[0] if entry[0] == "error" else "ok")
+    assert kinds == {"ok", "hom enumeration exceeded budget", "homotopy search exceeded budget"}
+
+
 def _materializing_is_equivalence(f, budget=None):
     """The inverse search before it ran on image tuples: every candidate is
-    built and composed as a validated map, with one component search per
-    side even when the two sides are the same graph."""
+    built and composed as a validated map and tested with are_homotopic
+    from the identity of each side, the smaller side first, each chain
+    reversed to end at the identity."""
     A, B = f.domain, f.codomain
-    searches = {}
-
-    def component(side):
-        if side not in searches:
-            G = A if side == "A" else B
-            search = homotopy._StepSearch(G, G, budget)
-            search.seed(homotopy._map_key(identity_map(G)))
-            searches[side] = search
-        return searches[side]
-
-    def chain_to_identity(side, m):
-        chain = component(side).chain_from_start(homotopy._map_key(m))
-        chain.reverse()
-        return HomotopyCertificate(tuple(chain))
-
-    first, second = ("A", "B") if A.order <= B.order else ("B", "A")
+    order = (0, 1) if A.order <= B.order else (1, 0)
     for g in enumerate_homs(B, A, budget=budget):
-        gf = compose(g, f)
-        fg = compose(f, g)
-        byside = {"A": gf, "B": fg}
-        if not component(first).reach(homotopy._map_key(byside[first])):
-            continue
-        if not component(second).reach(homotopy._map_key(byside[second])):
-            continue
-        return EquivalenceCertificate(f, g, chain_to_identity("A", gf), chain_to_identity("B", fg))
+        sides = [(A, compose(g, f)), (B, compose(f, g))]
+        chains = [None, None]
+        for side in order:
+            G, composite = sides[side]
+            cert = are_homotopic(identity_map(G), composite, budget)
+            if cert is None:
+                break
+            chains[side] = HomotopyCertificate(cert.chain[::-1])
+        else:
+            return EquivalenceCertificate(f, g, *chains)
     return None
 
 
@@ -525,18 +557,50 @@ def test_figure1_inverse_search_builds_only_the_certificate(monkeypatch):
     assert len(calls) < 100
 
 
+def _record_explores(monkeypatch):
+    calls = []
+    explore = homotopy._explore
+
+    def recording(*args):
+        calls.append(args)
+        return explore(*args)
+
+    monkeypatch.setattr(homotopy, "_explore", recording)
+    return calls
+
+
 def test_identity_shares_one_component_search(monkeypatch):
-    built = []
-
-    class Counting(homotopy._StepSearch):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
-
-    monkeypatch.setattr(homotopy, "_StepSearch", Counting)
+    calls = _record_explores(monkeypatch)
     cert = is_equivalence(identity_map(build_figure3().C))
     assert cert is not None and cert.verify()
-    assert len(built) == 1
+    # one search holds both goals, gf and fg
+    assert len(calls) == 1 and len(calls[0][4]) == 2
+
+
+def test_equivalence_searches_the_smaller_graph_first(monkeypatch):
+    calls = _record_explores(monkeypatch)
+    fig = build_figure3()
+    _, fold_map = apply_fold(fig.C, "3", "4")
+    assert is_equivalence(fold_map) is not None
+    assert [args[0].order for args in calls] == [fig.C.order - 1, fig.C.order]
+
+
+def test_explore_without_goals_exhausts_the_component():
+    # the looped path I_4 from a looped point: five maps in one component
+    point, path = make_graph(["p"], [("p", "p")]), interval(4)
+    parents = {}
+    homotopy._explore(point, path, parents, (0,), (), 100)
+    assert parents == {(0,): None, (1,): (0,), (2,): (1,), (3,): (2,), (4,): (3,)}
+    # a goal stops the search after the expansion that visits it
+    parents = {}
+    homotopy._explore(point, path, parents, (0,), ((1,),), 100)
+    assert parents == {(0,): None, (1,): (0,)}
+    parents = {}
+    homotopy._explore(point, path, parents, (2,), ((2,),), 100)
+    assert parents == {(2,): None}
+    # the budget counts visits already in the caller's dict
+    with pytest.raises(BudgetExceeded, match="homotopy search exceeded budget of 6"):
+        homotopy._explore(point, path, {(9,): None, (8,): None}, (0,), (), 6)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -621,7 +685,7 @@ def test_figure3_negative_runs_no_search(monkeypatch):
         raise AssertionError("no search expected")
 
     monkeypatch.setattr(homotopy, "_homs", forbidden)
-    monkeypatch.setattr(homotopy, "_StepSearch", forbidden)
+    monkeypatch.setattr(homotopy, "_explore", forbidden)
     assert is_equivalence(build_figure3().f) is None
 
 
