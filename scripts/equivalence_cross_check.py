@@ -2,16 +2,39 @@
 """Cross-check the two equivalence decision routes on random graph pairs.
 
 Route one searches every map pair for a two-sided homotopy inverse by
-brute force; route two folds both graphs and compares stiff subgraphs.
-The two verdicts must always agree.
+brute force, with homotopy classes found by breadth-first search over
+one-step neighbours and no folds; route two folds both graphs and compares
+stiff subgraphs.  The two verdicts must always agree.
 """
 
 import argparse
 import random
+from collections import deque
 
 from xhomotopy.generators import random_graph
-from xhomotopy.homotopy import graphs_equivalent, homotopy_classes
+from xhomotopy.homotopy import graphs_equivalent, one_step_neighbors
 from xhomotopy.search import enumerate_homs
+
+
+def component_index(G) -> dict:
+    """The homotopy class of each endomorphism of G, named by the image
+    tuple (over sorted vertices) of its first member: one breadth-first
+    search over one-step neighbours per class."""
+    order = G.sorted_vertices
+    index: dict = {}
+    for h in enumerate_homs(G, G):
+        start = tuple(h(v) for v in order)
+        if start in index:
+            continue
+        index[start] = start
+        queue = deque([h])
+        while queue:
+            for n in one_step_neighbors(queue.popleft()):
+                key = tuple(n(v) for v in order)
+                if key not in index:
+                    index[key] = start
+                    queue.append(n)
+    return index
 
 
 def exists_equivalence(a, b) -> bool:
@@ -20,14 +43,7 @@ def exists_equivalence(a, b) -> bool:
     homs_ba = enumerate_homs(b, a)
     if not homs_ab or not homs_ba:
         return a.order == 0 and b.order == 0
-    class_a = {}
-    for idx, cls in enumerate(homotopy_classes(a, a)):
-        for m in cls:
-            class_a[tuple(m(v) for v in order_a)] = idx
-    class_b = {}
-    for idx, cls in enumerate(homotopy_classes(b, b)):
-        for m in cls:
-            class_b[tuple(m(v) for v in order_b)] = idx
+    class_a, class_b = component_index(a), component_index(b)
     for f in (m.mapping for m in homs_ab):
         for g in (m.mapping for m in homs_ba):
             gf = tuple(g[f[v]] for v in order_a)

@@ -10,10 +10,10 @@ The searches run over image index tuples, bit k of the codomain standing
 for its k-th sorted label: a one-step expansion hands per-vertex masks
 straight to the engine's ``_homs``, and maps are materialized only for
 returned results.  One breadth-first function, ``_explore``, serves
-``are_homotopic``, ``is_equivalence`` and ``homotopy_classes``: it adds a
-one-step component to parent links that the caller owns, and chains are
-read off those links, so the returned chain is shortest with ties broken
-by canonical enumeration order, which is label order.
+``are_homotopic``, ``is_equivalence`` and ``homotopy_classes`` (at the
+stiff cores): it adds a one-step component to parent links the caller
+owns, and chains read off those links are shortest, ties broken by
+canonical enumeration order, which is label order.
 """
 
 from __future__ import annotations
@@ -226,6 +226,12 @@ def _adjacency_count(adj: list[int], core: list[int]) -> int:
     return sum((adj[k] & mask).bit_count() for k in core)
 
 
+def _core(G: Graph) -> tuple[list[int], list[int]]:
+    """G's ``first`` fold retraction on indices, and its stiff core's indices."""
+    r = _retraction(G)
+    return r, [k for k, s in enumerate(r) if s == k]
+
+
 def is_equivalence(f: GraphMap, budget: int | None = None) -> EquivalenceCertificate | None:
     """Two-sided homotopy inverse of f, decided through stiff cores.
 
@@ -254,10 +260,7 @@ def is_equivalence(f: GraphMap, budget: int | None = None) -> EquivalenceCertifi
     """
     A, B = f.domain, f.codomain
     f_pos = _map_key(f)  # f over sorted A, as B indices
-    r_A = _retraction(A)
-    r_B = _retraction(B)
-    core_A = [k for k, s in enumerate(r_A) if s == k]
-    core_B = [k for k, s in enumerate(r_B) if s == k]
+    (r_A, core_A), (r_B, core_B) = _core(A), _core(B)
     phi_inverse = {r_B[f_pos[a]]: a for a in core_A}
     # phi is a hom, so a bijection of cores with equal adjacency counts
     # carries edges onto edges: it is an isomorphism
@@ -310,16 +313,32 @@ def graphs_equivalent(G: Graph, H: Graph) -> StiffComparison:
 
 
 def homotopy_classes(A: Graph, B: Graph, budget: int | None = None) -> list[list[GraphMap]]:
-    """Partition of the hom set into one-step components, canonically ordered."""
+    """Partition of the hom set into one-step components, read at the cores.
+
+    Folds in either argument are homotopy equivalences of Hom complexes, so
+    h ~ h' exactly when r_B o h o i_A ~ r_B o h' o i_A in Hom(A_s, B_s) (the
+    ``first`` retractions r, inclusion i).  Each hom is labelled by that
+    small map's component, and only Hom(A_s, B_s) is searched.  Classes are
+    ordered by first member, members sorted.  BudgetExceeded (``homotopy
+    search``) is raised exactly when Hom(A, B) holds more maps than the
+    budget (10**6 when None).
+    """
     keys = _homs(A, B, budget)
+    limit = DEFAULT_HOM_BUDGET if budget is None else budget
+    if len(keys) > limit:
+        raise BudgetExceeded(limit, "homotopy search")
+    (r_A, core_A), (r_B, core_B) = _core(A), _core(B)
+    A_s, B_s = stiff_reduction(A).result, stiff_reduction(B).result
+    position = {k: j for j, k in enumerate(core_B)}
     parents: Parents = {}
+    label: dict[Key, int] = {}
     classes: list[list[GraphMap]] = []
     for key in keys:
-        if key in parents:
-            continue
-        before = len(parents)
-        _explore(A, B, parents, key, (), DEFAULT_HOM_BUDGET if budget is None else budget)
-        # parents is insertion-ordered: the new component is its tail
-        component = islice(reversed(parents), len(parents) - before)
-        classes.append([_assignment_to_map(A, B, k) for k in sorted(component)])
+        small = tuple(position[r_B[key[a]]] for a in core_A)
+        if small not in label:
+            _explore(A_s, B_s, parents, small, (), limit)
+            # parents is insertion-ordered: the new component is its tail
+            label.update((k, len(classes)) for k in islice(reversed(parents), len(parents) - len(label)))
+            classes.append([])
+        classes[label[small]].append(_assignment_to_map(A, B, key))
     return classes

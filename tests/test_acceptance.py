@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from conftest import bfs_classes
 from xhomotopy import compose
 from xhomotopy.claims import (
     verify_figure1,
@@ -26,7 +27,6 @@ from xhomotopy.core import interval, make_graph
 from xhomotopy.folds import stiff_reduction
 from xhomotopy.generators import random_equivalence_triple, random_graph
 from xhomotopy.homotopy import (
-    homotopy_classes,
     is_equivalence,
     graphs_equivalent,
     verify_homotopy,
@@ -128,18 +128,19 @@ def test_criterion_05_fold_confluence(pool):
 
 def _exists_equivalence_brute_force(a, b):
     """Independent oracle: search every map pair for a two-sided inverse,
-    composing raw assignments and deciding homotopy by class lookup."""
+    composing raw assignments and deciding homotopy by lookup in the
+    fold-free classes of ``bfs_classes``."""
     order_a, order_b = a.sorted_vertices, b.sorted_vertices
     homs_ab = enumerate_homs(a, b)
     homs_ba = enumerate_homs(b, a)
     if not homs_ab or not homs_ba:
         return a.order == 0 and b.order == 0
     class_a: dict[tuple, int] = {}
-    for idx, cls in enumerate(homotopy_classes(a, a)):
+    for idx, cls in enumerate(bfs_classes(a, a)):
         for m in cls:
             class_a[tuple(m(v) for v in order_a)] = idx
     class_b: dict[tuple, int] = {}
-    for idx, cls in enumerate(homotopy_classes(b, b)):
+    for idx, cls in enumerate(bfs_classes(b, b)):
         for m in cls:
             class_b[tuple(m(v) for v in order_b)] = idx
     id_a = class_a[order_a]

@@ -1,12 +1,14 @@
 import hashlib
 import json
 import random
+import runpy
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import seeded_graphs
+from conftest import bfs_classes, seeded_graphs
 from xhomotopy import (
     BudgetExceeded,
     Graph,
@@ -20,9 +22,9 @@ from xhomotopy import (
 )
 from xhomotopy.claims import build_figure1, build_figure2, build_figure3, figure2_fold_comparator
 from xhomotopy.constructions import complete, cycle
-from xhomotopy.folds import apply_fold, foldable_pairs
+from xhomotopy.folds import apply_fold, foldable_pairs, stiff_reduction
 from xhomotopy.generators import random_equivalence, random_graph
-from xhomotopy import core, homotopy
+from xhomotopy import core, folds, homotopy
 from xhomotopy.homotopy import (
     EquivalenceCertificate,
     HomotopyCertificate,
@@ -304,11 +306,11 @@ def _exists_equivalence(a, b):
     if not homs_ab or not homs_ba:
         return a.order == 0 and b.order == 0
     class_of_a = {}
-    for idx, cls in enumerate(homotopy_classes(a, a)):
+    for idx, cls in enumerate(bfs_classes(a, a)):
         for m in cls:
             class_of_a[tuple(m(v) for v in order_a)] = idx
     class_of_b = {}
-    for idx, cls in enumerate(homotopy_classes(b, b)):
+    for idx, cls in enumerate(bfs_classes(b, b)):
         for m in cls:
             class_of_b[tuple(m(v) for v in order_b)] = idx
     id_a = class_of_a[tuple(order_a)]
@@ -617,7 +619,7 @@ def _class_partition_oracle(A, B):
     of End(A) and End(B)."""
     class_of = {}
     for G in (A, B):
-        for idx, cls in enumerate(homotopy_classes(G, G)):
+        for idx, cls in enumerate(bfs_classes(G, G)):
             for m in cls:
                 class_of[G, tuple(m(v) for v in G.sorted_vertices)] = idx
     identity = {G: class_of[G, G.sorted_vertices] for G in (A, B)}
@@ -691,3 +693,94 @@ def test_figure3_negative_runs_no_search(monkeypatch):
 
 def test_figure3_negative_spends_no_budget():
     assert in_W_times(build_figure3().f, budget=1).verdict == "out"
+
+
+def test_brute_force_oracles_run_without_folds(monkeypatch):
+    from test_acceptance import _exists_equivalence_brute_force
+
+    script = runpy.run_path(str(Path(__file__).resolve().parents[1] / "scripts" / "equivalence_cross_check.py"))
+    rng = random.Random(31)
+    pairs = [
+        (random_graph(rng, rng.randint(0, 4), prefix="a"), random_graph(rng, rng.randint(0, 4), prefix="b"))
+        for _ in range(30)
+    ]
+    verdicts = [graphs_equivalent(a, b).equivalent for a, b in pairs]
+    inverses = [[is_equivalence(f) is not None for f in enumerate_homs(a, b)] for a, b in pairs]
+
+    def forbidden(G):
+        raise AssertionError("an oracle folded")
+
+    monkeypatch.setattr(folds, "_first_folds", forbidden)
+    for (a, b), verdict, inverse in zip(pairs, verdicts, inverses):
+        assert _exists_equivalence_brute_force(a, b) == verdict
+        assert _exists_equivalence(a, b) == verdict
+        assert script["exists_equivalence"](a, b) == verdict
+        if verdict:
+            has_inverse = _class_partition_oracle(a, b)
+            assert [has_inverse(f) for f in enumerate_homs(a, b)] == inverse
+    assert set(verdicts) == {True, False}
+    # the patch reaches the fold-down that homotopy_classes reads
+    with pytest.raises(AssertionError, match="an oracle folded"):
+        homotopy_classes(interval(2), interval(2))
+
+
+CLASS_BUDGETS = (None, 0, 1, 3, 5, 12, 50, 200, 2000)
+
+
+def _class_pair(i):
+    rng = random.Random(70_000 + i)
+    a = random_graph(rng, rng.randint(0, 4), 0.4, 0.35, prefix="a")
+    b = random_graph(rng, rng.randint(1, 5), 0.45, 0.4, prefix="b")
+    return a, b
+
+
+def test_classes_at_the_cores_match_the_fold_free_search():
+    pairs = [_class_pair(i) for i in range(600)]
+    outcomes = []
+    for i, (a, b) in enumerate(pairs):
+        for budget in CLASS_BUDGETS:
+            got = _attempt(lambda: [[m.assignment for m in cls] for cls in homotopy_classes(a, b, budget)])
+            want = _attempt(lambda: [[m.assignment for m in cls] for cls in bfs_classes(a, b, budget)])
+            assert got == want, (i, budget)
+            outcomes.append(got)
+    looped = [all(any(u == v for u, v in G.edges) for G in pair) for pair in pairs]
+    assert sum(a.order == 0 for a, _ in pairs) > 50 and sum(looped) > 200
+    assert sum(entry[0] == "ok" and len(entry[1]) > 1 for entry in outcomes) >= 250
+    stops = {entry[2].rsplit(" of ", 1)[0] for entry in outcomes if entry[0] == "error"}
+    assert stops == {"hom enumeration exceeded budget", "homotopy search exceeded budget"}
+
+
+def test_classes_stop_exactly_past_the_default_visit_budget(monkeypatch):
+    # with no budget the hom enumeration allows 10**7 nodes, so only the
+    # visit budget (10**6) can stop a large hom set; shrink it to reach it
+    a, b = interval(3), interval(3)
+    count = len(enumerate_homs(a, b))
+    monkeypatch.setattr(homotopy, "DEFAULT_HOM_BUDGET", count)
+    assert sum(len(cls) for cls in homotopy_classes(a, b)) == count
+    monkeypatch.setattr(homotopy, "DEFAULT_HOM_BUDGET", count - 1)
+    with pytest.raises(BudgetExceeded, match=f"homotopy search exceeded budget of {count - 1}"):
+        homotopy_classes(a, b)
+
+
+def test_classes_search_only_the_stiff_cores(monkeypatch):
+    path = make_graph("pqr", ["pq", "qr"])
+    grown = make_graph("abcdef", ["ab", "bc", "ca", "cd", "de", "da", "ef", "fa"])
+    pairs = [(path, cycle(4)), (interval(3), interval(4)), (path, grown), (grown, grown)]
+    for a, b in pairs:
+        cores = [stiff_reduction(G).result for G in (a, b)]
+        assert [G.order for G in cores] < [a.order, b.order]
+        calls = _record_explores(monkeypatch)
+        classes = homotopy_classes(a, b)
+        assert calls and {(args[0].order, args[1].order) for args in calls} == {(cores[0].order, cores[1].order)}
+        assert all(args[0] == cores[0] and args[1] == cores[1] for args in calls)
+        assert [[m.assignment for m in cls] for cls in classes] == [
+            [m.assignment for m in cls] for cls in bfs_classes(a, b)
+        ]
+
+
+def test_classes_of_interval_8_are_one_class_quickly():
+    started = time.monotonic()
+    classes = homotopy_classes(interval(8), interval(8))
+    assert time.monotonic() - started < 1.0
+    images = [tuple(label for _, label in m.assignment) for m in classes[0]]
+    assert len(classes) == 1 and images == enumerate_hom_assignments(interval(8), interval(8))
